@@ -12,6 +12,17 @@ with np.sum over the long axis: no BLAS calls, so results are independent
 of BLAS threading, and each slab follows the same arithmetic as a
 single-system call of the Jacobi core.
 
+The simulate CSV bytes depend on the order of these sums.  numpy sums a
+contiguous innermost axis pairwise and any other axis one term at a time,
+while elementwise operations give the same bits in any layout.  So the
+slab sums over (d, n) and every contraction over the long axis are
+pairwise, on contiguous temporaries; the singular values in _thin_svd sum
+the rotated columns sequentially over the long axis (pairwise when m == 1,
+see linalg._middle_sum).  The sorted long-side factor is gathered as
+contiguous (B, m, L) rows, normalised in place and handed on as a
+swapaxes view; only its layout differs from a (B, L, m) array, not a bit
+of any result.
+
 Intended for ensemble-style inputs.  Center-of-mass ensembles are full
 rank up to the structural zero whose null direction Z and Zdot share; for
 such inputs this path agrees with compute_partition to near machine
@@ -21,7 +32,7 @@ go through compute_partition, which keeps the completed frame directions.
 
 import numpy as np
 
-from .linalg import _COLUMN_FREEZE, jacobi_orthogonalize
+from .linalg import _COLUMN_FREEZE, _middle_sum, jacobi_orthogonalize
 from .partitions import DEFAULT_TOLERANCES
 
 BATCH_FIELDS = (
@@ -57,18 +68,17 @@ def _thin_svd(z):
         rotated, vacc = jacobi_orthogonalize(np.transpose(z, (0, 2, 1)))
     else:
         rotated, vacc = jacobi_orthogonalize(z)
-    xi = np.sqrt(np.sum(rotated * rotated, axis=1))
+    xi = np.sqrt(_middle_sum(rotated * rotated)[:, 0, :])
     order = np.argsort(-xi, axis=1, kind="stable")
-    xi = np.take_along_axis(xi, order, axis=1)
-    vacc = np.take_along_axis(vacc, order[:, None, :], axis=2)
-    rotated = np.take_along_axis(rotated, order[:, None, :], axis=2)
+    rows = np.arange(nsys)[:, None]
+    xi = xi[rows, order]
+    vacc = vacc[rows, :, order].swapaxes(1, 2)
+    # (B, m, L): each sorted column of `rotated` is a contiguous row.
+    thin = rotated[rows, :, order]
     cut = _COLUMN_FREEZE * np.sqrt(np.sum(xi * xi, axis=1))
-    keep = xi > cut[:, None]
-    thin = np.where(
-        keep[:, None, :],
-        rotated / np.where(xi > 0.0, xi, 1.0)[:, None, :],
-        0.0,
-    )
+    thin /= np.where(xi > 0.0, xi, 1.0)[:, :, None]
+    thin[~(xi > cut[:, None])] = 0.0
+    thin = thin.swapaxes(1, 2)
     if d <= n:
         return xi, vacc, thin
     return xi, thin, vacc
@@ -132,6 +142,8 @@ def partition_batch(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     zdot = np.asarray(zdot, dtype=float)
     if z.ndim != 3 or z.shape != zdot.shape:
         raise ValueError(f"expected matching (B, d, n) stacks, got {z.shape} vs {zdot.shape}")
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zdot))):
+        raise ValueError("non-finite entries in batch")
     nsys, d, n = z.shape
     m = min(d, n)
     m2 = mass * mass

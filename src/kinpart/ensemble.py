@@ -10,13 +10,24 @@ total kinetic energy both equal to 1 for every sampled system.
 Randomness comes from numpy's PCG64 generator.  substream() derives child
 generators from a (seed, index...) key, so any sampling plan that fixes its
 keys is reproducible bit for bit regardless of how the work is scheduled.
+
+The bytes of every simulate CSV also depend on the order in which the
+sampler's sums are taken.  Elementwise operations give the same bits in any
+memory layout, but numpy sums a contiguous innermost axis pairwise and any
+other axis one term at a time.  sample_system_block works on (count, N, d)
+stacks: the centroid sums over the particle axis N, which is sequential
+for d > 1 and pairwise for d == 1 (linalg._middle_sum keeps both), and the
+squared norms sum over the contiguous (N, d) slab pairwise.  Centring and
+scaling run in place, and Z and Zdot are returned as (count, d, N)
+transposed views of those stacks, because the partition engine's full-slab
+sums run in memory order too.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _complete_orthonormal
+from .linalg import _complete_orthonormal, _middle_sum
 
 TOTAL_MASS = 2.0
 
@@ -85,7 +96,10 @@ def _ball_block(rng, count, d):
         radius = np.sqrt(kappa)
     else:
         radius = kappa ** (1.0 / d)
-    s *= radius[:, None]
+    # One pass per coordinate: a (count, d) broadcast runs numpy's inner
+    # loop over only d elements at a time.
+    for j in range(d):
+        s[:, j] *= radius
     return s
 
 
@@ -129,29 +143,29 @@ def sample_system_block(d, N, mode, rng, count):
     else:
         masses = np.full((count, N), TOTAL_MASS / N)
 
-    g = w - np.mean(w, axis=1, keepdims=True)
-    gdot = wdot - np.mean(wdot, axis=1, keepdims=True)
+    w -= _middle_sum(w) / N
+    wdot -= _middle_sum(wdot) / N
     if mode == RANDOM_MASSES:
         scale = 1.0 / np.sqrt(masses)
-        g = g * scale[:, :, None]
-        gdot = gdot * scale[:, :, None]
+        w *= scale[:, :, None]
+        wdot *= scale[:, :, None]
 
-    gnorm = np.sqrt(np.sum(g * g, axis=(1, 2)))
-    gdnorm = np.sqrt(np.sum(gdot * gdot, axis=(1, 2)))
+    gnorm = np.sqrt(np.sum(w * w, axis=(1, 2)))
+    gdnorm = np.sqrt(np.sum(wdot * wdot, axis=(1, 2)))
     bad = (gnorm < _UNDERFLOW) | (gdnorm < _UNDERFLOW)
     if bool(np.any(bad)):
         # All points coincident: probability zero, redraw those systems.
         for idx in np.flatnonzero(bad):
             zi, zdi, mi = sample_system_block(d, N, mode, rng, 1)
-            g[idx] = np.transpose(zi[0])
-            gdot[idx] = np.transpose(zdi[0])
+            w[idx] = np.transpose(zi[0])
+            wdot[idx] = np.transpose(zdi[0])
             masses[idx] = mi[0]
             gnorm[idx] = 1.0
             gdnorm[idx] = 1.0
 
-    z = np.transpose(g, (0, 2, 1)) / gnorm[:, None, None]
-    zdot = np.transpose(gdot, (0, 2, 1)) / gdnorm[:, None, None]
-    return z, zdot, masses
+    w /= gnorm[:, None, None]
+    wdot /= gdnorm[:, None, None]
+    return np.transpose(w, (0, 2, 1)), np.transpose(wdot, (0, 2, 1)), masses
 
 
 def sample_system(d, N, mode, rng):

@@ -89,7 +89,7 @@ def jacobi_orthogonalize(cols):
                 beta = np.sum(y * y, axis=-1)
                 gamma = np.sum(x * y, axis=-1)
                 apply = (
-                    (np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha * beta))
+                    (np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta))
                     & (alpha > cut2)
                     & (beta > cut2)
                 )
@@ -121,6 +121,20 @@ def jacobi_orthogonalize(cols):
         if not rotated_any:
             return cols, v
     raise RuntimeError(f"one-sided Jacobi failed to converge in {_MAX_SWEEPS} sweeps")
+
+
+def _middle_sum(x):
+    """np.sum(x, axis=1, keepdims=True) of a C-contiguous (B, L, k) stack,
+    bit for bit.
+
+    For k > 1 numpy adds the middle axis one term at a time, as cumsum
+    does, but calls its inner loop once per (b, l) with only k elements;
+    cumsum runs its inner loop along L instead.  For k == 1 the middle axis
+    is the innermost one and numpy sums it pairwise, so np.sum stays.
+    """
+    if x.shape[2] == 1:
+        return np.sum(x, axis=1, keepdims=True)
+    return np.cumsum(x, axis=1)[:, -1:, :]
 
 
 def _normalize_columns(cols, norms):

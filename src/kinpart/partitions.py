@@ -216,6 +216,15 @@ def compute_partition(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
         raise ValueError(f"shape mismatch: Z {z.shape} vs Zdot {zdot.shape}")
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zdot))):
         raise ValueError("non-finite entries")
+    # Every term is quadratic in Zdot and of degree 0 in Z, and the momenta
+    # scale as ||Z||^2 ||Zdot||^2.  Both inputs are rescaled by powers of
+    # two, which is exact, to entries in [1/2, 1) and the results scaled
+    # back, so products of two squared norms (inner^2, Lambda^2, J^2, ...)
+    # cannot underflow or overflow whatever the scale of the input.
+    _, z_exp = np.frexp(np.max(np.abs(z)))
+    _, zdot_exp = np.frexp(np.max(np.abs(zdot)))
+    z = np.ldexp(z, -z_exp)
+    zdot = np.ldexp(zdot, -zdot_exp)
     z2 = float(np.sum(z * z))
     if z2 == 0.0:
         raise ValueError("zero hyperradius")
@@ -259,13 +268,22 @@ def compute_partition(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     e_in_a = 0.5 * mass * float(np.sum(b2[:k, :k] * xi2[None, :]))
     e_in_b = 0.5 * mass * float(np.sum(b2[k:, :k] * xi2[None, :]))
 
-    return PartitionResult(
+    terms = dict(
         T=total, T_lambda=t_lambda, T_rho=t_rho, T_rot=t_rot, T_I=t_inert,
         T_xi=t_xi, T_ext=t_ext, T_int=t_int, T_res=t_res,
         T_J=t_j, T_K=t_k, T_ac=t_ac,
         E_out=e_out, E_outA=e_out_a, E_outB=e_out_b,
         E_in=e_in, E_inA=e_in_a, E_inB=e_in_b, E_c=e_c,
-        momenta=mom, degenerate=frame.degenerate,
+    )
+
+    energy_exp = 2 * zdot_exp
+    momentum_exp = 2 * (z_exp + zdot_exp)
+    return PartitionResult(
+        **{name: float(np.ldexp(value, energy_exp)) for name, value in terms.items()},
+        momenta=MomentaResult(*(
+            float(np.ldexp(value, momentum_exp))
+            for value in (mom.J2, mom.K2, mom.Lambda2, mom.L2))),
+        degenerate=frame.degenerate,
     )
 
 

@@ -101,6 +101,47 @@ def test_partition_bad_inputs(tmp_path, capsys):
     assert code == 2 and "hyperradius" in err
 
 
+PLANAR_FOUR = {
+    "masses": [1.0, 1.0, 1.0, 1.0],
+    "positions": [[0.9, 0.1], [-0.3, 0.7], [-0.4, -0.5], [-0.2, -0.3]],
+    "velocities": [[0.2, -0.6], [0.5, 0.3], [-0.8, 0.1], [0.1, 0.2]],
+}
+
+
+def test_partition_tiny_scale_keeps_term_ratios(tmp_path, capsys):
+    # at 1e-100, squared norms are 1e-200 and their products underflow
+    code, out, _ = run_cli(capsys, "partition", "--input",
+                           write_system(tmp_path, PLANAR_FOUR))
+    assert code == 0
+    unit = json.loads(out)
+    tiny_doc = {
+        "masses": PLANAR_FOUR["masses"],
+        "positions": (np.array(PLANAR_FOUR["positions"]) * 1e-100).tolist(),
+        "velocities": (np.array(PLANAR_FOUR["velocities"]) * 1e-100).tolist(),
+    }
+    code, out, err = run_cli(capsys, "partition", "--input",
+                             write_system(tmp_path, tiny_doc, "tiny.json"))
+    assert code == 0, err
+    tiny = json.loads(out)
+    assert tiny["T"] > 0.0
+    for name in ("T_lambda", "T_rho", "T_rot", "T_I", "T_xi", "T_ext", "T_int",
+                 "T_res", "T_J", "T_K", "T_ac", "E_out", "E_outA", "E_outB",
+                 "E_in", "E_inA", "E_inB", "E_c"):
+        assert abs(tiny[name] / tiny["T"] - unit[name] / unit["T"]) <= 1e-10, name
+
+
+def test_solver_failure_is_reported_without_traceback(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("one-sided Jacobi failed to converge in 60 sweeps")
+
+    monkeypatch.setattr("kinpart.cli.compute_partition", fail)
+    code, out, err = run_cli(capsys, "partition", "--input",
+                             write_system(tmp_path, PLANAR_FOUR))
+    assert code == 2
+    assert out == ""
+    assert err == "error: one-sided Jacobi failed to converge in 60 sweeps\n"
+
+
 def simulate_args(out, seed=42, samples=4000, extra=()):
     return ["simulate", "--d", "2", "--n-min", "3", "--n-max", "4",
             "--samples", str(samples), "--masses", "equal",

@@ -127,6 +127,16 @@ def test_jacobi_batch_matches_single():
         assert np.array_equal(v_all[i], v_one[0])
 
 
+def test_svd_at_tiny_scale():
+    # at 1e-100 the product of two squared column norms underflows to 0, so
+    # the convergence threshold takes the product of the norms instead
+    rng = substream(1, 8)
+    z = rng.standard_normal((2, 4))
+    xi = svd(z).xi
+    xi_tiny = svd(z * 1e-100).xi
+    assert np.max(np.abs(xi_tiny * 1e100 - xi)) <= 1e-10 * xi[0]
+
+
 def test_sym_eigen_identity():
     values, vectors = sym_eigen(np.eye(3))
     assert np.allclose(values, 1.0, atol=0)

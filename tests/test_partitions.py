@@ -335,6 +335,18 @@ def test_zero_hyperradius_rejected():
         compute_partition(MASS, np.zeros((2, 3)), np.ones((2, 3)))
 
 
+def test_batch_rejects_non_finite_input():
+    rng = substream(3, 12)
+    z, zdot, _ = sample_system_block(2, 4, "equal", rng, 3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            partition_batch(MASS, np.full_like(z, bad), zdot)
+        broken = zdot.copy()
+        broken[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            partition_batch(MASS, z, broken)
+
+
 def test_tolerance_config_override():
     # an absurdly wide gap tolerance marks everything degenerate
     rng = substream(3, 11)
