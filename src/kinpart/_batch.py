@@ -1,16 +1,17 @@
-"""Vectorized evaluation of all partition terms over stacks of systems.
+"""The partition engine: all 19 energy terms and the 4 squared momenta for
+a stack of systems at once.
 
-Same mathematics as partitions.compute_partition, restructured so the Monte
-Carlo harness can push blocks of systems through numpy at once.  Only the
-thin SVD factors are formed; sums over the orthogonal complement of the
-frame (the rows or columns past min(d, n)) are taken as squared residual
-norms, which keeps the cost linear in max(d, n) per system and avoids the
-cancellation a norm-difference formula would have.
+Every caller goes through partition_batch: the Monte Carlo harness with
+4096-system blocks, and partitions.compute_partition with a batch of one.
+Only the thin SVD factors are formed; sums over the orthogonal complement
+of the frame (the rows or columns past min(d, n)) are taken as squared
+residual norms, which keeps the cost linear in max(d, n) per system and
+avoids the cancellation a norm-difference formula would have.
 
 All contractions loop over the small dimension (d or min(d, n)) and reduce
 with np.sum over the long axis: no BLAS calls, so results are independent
-of BLAS threading, and each slab follows the same arithmetic as a
-single-system call of the Jacobi core.
+of BLAS threading, and each slab follows the same arithmetic whatever the
+batch size, so a system gives the same bits alone or in a block.
 
 The simulate CSV bytes depend on the order of these sums.  numpy sums a
 contiguous innermost axis pairwise and any other axis one term at a time,
@@ -23,24 +24,49 @@ contiguous (B, m, L) rows, normalised in place and handed on as a
 swapaxes view; only its layout differs from a (B, L, m) array, not a bit
 of any result.
 
-Intended for ensemble-style inputs.  Center-of-mass ensembles are full
-rank up to the structural zero whose null direction Z and Zdot share; for
-such inputs this path agrees with compute_partition to near machine
-precision.  Adversarial rank-deficient pairs without a shared null should
-go through compute_partition, which keeps the completed frame directions.
+Input is evaluated at the scale given; a system whose z2 or z2 * zd2 is not
+a normal double is refused (compute_partition rescales first).  On
+center-of-mass ensembles, full rank up to the null direction Z and Zdot
+share, the terms agree with the brute-force oracles.  At a rank drop
+without a shared null direction (e.g. collinear planar input) T_I misses
+the null block and the degenerate flag stays False.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import _COLUMN_FREEZE, _middle_sum, jacobi_orthogonalize
-from .partitions import DEFAULT_TOLERANCES
 
-BATCH_FIELDS = (
+# The 19 energy terms of the five partitions, in report order.
+TERMS = (
     "T", "T_lambda", "T_rho", "T_rot", "T_I", "T_xi",
     "T_ext", "T_int", "T_res", "T_J", "T_K", "T_ac",
     "E_out", "E_outA", "E_outB", "E_in", "E_inA", "E_inB", "E_c",
-    "J2", "K2", "Lambda2", "L2",
 )
+MOMENTA = ("J2", "K2", "Lambda2", "L2")
+BATCH_FIELDS = TERMS + MOMENTA
+
+_NORMAL_MIN = np.finfo(float).tiny
+_NORMAL_MAX = np.finfo(float).max
+
+
+@dataclass(frozen=True)
+class ToleranceConfig:
+    """Relative thresholds used by the SVD-frame rate solve.
+
+    gap_tol scales xi_1^2: singular value pairs whose squared gap is below
+    gap_tol * xi_1^2 are treated as repeated (degenerate).  zero_tol scales
+    xi_1: singular values below zero_tol * xi_1 count as zero when the
+    positive count k is decided.  Random continuous samples are generically
+    non-degenerate, so these guard numerics, not semantics.
+    """
+
+    gap_tol: float = 1e-9
+    zero_tol: float = 1e-12
+
+
+DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def _gram(a, b):
@@ -136,7 +162,9 @@ def partition_batch(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     """All 19 terms, 4 squared momenta, and degeneracy flags for a stack.
 
     z, zdot: (B, d, n) arrays.  Returns a dict of (B,) arrays keyed by
-    BATCH_FIELDS plus a boolean "degenerate" array.
+    BATCH_FIELDS plus a boolean "degenerate" array.  Raises ValueError on
+    non-finite entries, a zero hyperradius, or a system whose z2 or
+    z2 * zd2 is not a normal double (zdot == 0 is accepted).
     """
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
@@ -152,7 +180,13 @@ def partition_batch(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     zd2 = np.sum(zdot * zdot, axis=(1, 2))
     inner = np.sum(z * zdot, axis=(1, 2))
     if np.any(z2 == 0.0):
-        raise ValueError("zero hyperradius in batch")
+        raise ValueError("zero hyperradius")
+    scale = z2 * zd2
+    in_range = (z2 >= _NORMAL_MIN) & (z2 <= _NORMAL_MAX) & (
+        (zd2 == 0.0) | ((scale >= _NORMAL_MIN) & (scale <= _NORMAL_MAX)))
+    if not np.all(in_range):
+        raise ValueError("squared norms outside the normal double range in "
+                         "batch; rescale the input (compute_partition does)")
 
     total = 0.5 * mass * zd2
     t_rho = 0.5 * mass * inner * inner / z2

@@ -14,6 +14,7 @@ environment variable; everything else is a flag.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -21,8 +22,10 @@ import sys
 import numpy as np
 
 from .ensemble import MASS_MODES, TOTAL_MASS, sample_system_block, substream
-from .harness import TRACKED_TERMS, ZERO_FLOOR, run_experiment
-from .momenta import momenta_direct, momenta_fast
+from .harness import (
+    TRACKED_TERMS, RunReport, TermReport, run_experiment, verify_report,
+)
+from .momenta import momenta_direct
 from .partitions import (
     ToleranceConfig, compute_partition, eigenvector_split_oracle,
     project_oracle, svd_rates,
@@ -83,11 +86,8 @@ def cmd_partition(args):
     out = {"M": total, "rho": float(np.sqrt(np.sum(z * z))), "d": z.shape[0],
            "N": z.shape[1]}
     out.update(result.terms())
-    out.update({
-        "J2": result.momenta.J2, "K2": result.momenta.K2,
-        "Lambda2": result.momenta.Lambda2, "L2": result.momenta.L2,
-        "degenerate": result.degenerate,
-    })
+    out.update(dataclasses.asdict(result.momenta))
+    out["degenerate"] = result.degenerate
     print(json.dumps(out, indent=2))
     return 0
 
@@ -165,48 +165,61 @@ def cmd_simulate(args):
     return 0
 
 
+def reports_from_rows(rows):
+    """RunReports, one per (d, N, mass mode), from parsed simulate rows.
+
+    The CSV keeps only the biased variance; the unbiased one is derived.
+    """
+    groups = {}
+    for row in rows:
+        groups.setdefault((row["d"], row["N"], row["mass_mode"]), []).append(row)
+    reports = []
+    for (d, n, mode), group in groups.items():
+        terms = {row["term"]: TermReport(
+            term=row["term"], count=row["count"], mean=row["mean"],
+            variance_biased=row["variance_biased"],
+            variance_unbiased=(row["variance_biased"] * row["count"]
+                               / (row["count"] - 1) if row["count"] > 1 else math.nan),
+            stderr=row["stderr"], minimum=row["min"], maximum=row["max"],
+            expected=row["expected"], abs_diff=row["abs_diff"],
+            weighted_diff=row["weighted_diff"], sigma_ratio=row["sigma_ratio"],
+            fraction_negative=row["fraction_negative"],
+            fraction_positive=row["fraction_positive"],
+            degenerate_excluded=row["degenerate_excluded"],
+        ) for row in group}
+        reports.append(RunReport(
+            d=d, N=n, mode=mode, seed=group[0]["seed"],
+            samples=max(t.count for t in terms.values()),
+            x_abscissa=group[0]["x_abscissa"],
+            degenerate_count=max(t.degenerate_excluded for t in terms.values()),
+            terms=terms,
+        ))
+    return reports
+
+
 def cmd_verify(args):
     _, rows = read_reports_csv(args.input)
-    failures = 0
-    checks = 0
-    abs_diffs = []
-    ratios = []
-    for row in rows:
-        if row["expected"] is None:
-            continue
-        abs_diff = abs(row["mean"] - row["expected"])
-        stderr = row["stderr"]
-        if stderr > 0.0:
-            ratio = abs_diff / stderr
-        else:
-            ratio = 0.0 if abs_diff <= ZERO_FLOOR else math.inf
-        passed = abs_diff <= ZERO_FLOOR or ratio <= args.sigma
-        checks += 1
-        abs_diffs.append(abs_diff)
-        ratios.append(ratio)
-        failures += not passed
-        print(f"{'PASS' if passed else 'FAIL'} mean {row['term']} "
-              f"N={row['N']} {row['mass_mode']} "
-              f"diff={abs_diff!r} sigma_ratio={ratio!r}")
-        if row["term"] == "T_res" and row["d"] >= 2 and row["N"] >= 3:
-            frac = row["fraction_negative"]
-            sigma_binomial = 0.5 / math.sqrt(row["count"])
-            sign_ratio = abs(frac - 0.5) / sigma_binomial
-            sign_ok = sign_ratio <= args.sigma
-            checks += 1
-            failures += not sign_ok
-            print(f"{'PASS' if sign_ok else 'FAIL'} sign T_res "
-                  f"N={row['N']} {row['mass_mode']} "
-                  f"fraction={frac!r} sigma_ratio={sign_ratio!r}")
-    if checks == 0:
+    reports = reports_from_rows(rows)
+    # Each row is checked against the CSV's own expected column.
+    expectations = {
+        rep.N: {term: tr.expected for term, tr in rep.terms.items()
+                if tr.expected is not None}
+        for rep in reports
+    }
+    checks, summary = verify_report(reports, expectations, args.sigma)
+    if not checks:
         print("no checkable rows (no expected values present)")
         return 1
-    print(f"checks={checks} failures={failures} "
-          f"abs_diff min={min(abs_diffs)!r} max={max(abs_diffs)!r} "
-          f"mean={sum(abs_diffs) / len(abs_diffs)!r} "
-          f"sigma_ratio min={min(ratios)!r} max={max(ratios)!r} "
-          f"mean={sum(ratios) / len(ratios)!r}")
-    return 1 if failures else 0
+    for check in checks:
+        shown = (f"diff={check.abs_diff!r}" if check.kind == "mean"
+                 else f"fraction={check.observed!r}")
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.kind} {check.term} "
+              f"N={check.N} {check.mode} {shown} sigma_ratio={check.sigma_ratio!r}")
+    stats = " ".join(
+        f"{key} min={summary['min_' + key]!r} max={summary['max_' + key]!r} "
+        f"mean={summary['mean_' + key]!r}" for key in ("abs_diff", "sigma_ratio"))
+    print(f"checks={summary['checks']} failures={summary['failures']} {stats}")
+    return 1 if summary["failures"] else 0
 
 
 def _relative_gap(a, b):
@@ -239,11 +252,10 @@ def cmd_oracle_check(args):
             worst[name] = max(worst[name], _relative_gap(fast, getattr(oracle, name)))
         frame = svd_rates(z, zdot)
         direct = momenta_direct(TOTAL_MASS, z, zdot, frame.factors.xi, frame.xidot)
-        fast = momenta_fast(TOTAL_MASS, z, zdot, frame.factors.xi, frame.xidot)
         for name in ("J2", "K2", "Lambda2", "L2"):
             worst[name] = max(
                 worst[name],
-                _relative_gap(getattr(direct, name), getattr(fast, name)))
+                _relative_gap(getattr(direct, name), getattr(part.momenta, name)))
         eig = eigenvector_split_oracle(TOTAL_MASS, z, zdot)
         for name, fast_val, oracle_val in (
                 ("E_outA", part.E_outA, eig[0]), ("E_outB", part.E_outB, eig[1]),

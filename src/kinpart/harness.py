@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import partition_batch
+from ._batch import DEFAULT_TOLERANCES, TERMS, partition_batch
 from .ensemble import MASS_MODES, MODE_CODES, sample_system_block, substream
 from .expectations import conjecture_means
-from .partitions import DEFAULT_TOLERANCES
 
 # Block size is part of the reproducibility contract: substreams are keyed
 # by block index, so changing this constant changes sampled values.
@@ -37,10 +36,7 @@ THREADS_ENV = "KINPART_THREADS"
 # far above the observed roundoff.
 ZERO_FLOOR = 1e-12
 
-TRACKED_TERMS = (
-    "T", "T_lambda", "T_rho", "T_rot", "T_I", "T_xi",
-    "T_ext", "T_int", "T_res", "T_J", "T_K", "T_ac",
-    "E_out", "E_outA", "E_outB", "E_in", "E_inA", "E_inB", "E_c",
+TRACKED_TERMS = TERMS + (
     "T_res_plus", "T_res_minus", "T_res_abs",
     "T_ac_plus", "T_ac_minus", "T_ac_abs",
     "E_c_plus", "E_c_minus",
@@ -76,28 +72,9 @@ class StatAccumulator:
     negatives: int = 0
     positives: int = 0
 
-    def update(self, value):
-        """Add a single observation (Welford update)."""
-        value = float(value)
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        self.negatives += value < 0.0
-        self.positives += value > 0.0
-
-    def update_block(self, values):
-        """Add a block of observations at once (two-pass block summary)."""
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            return
-        block = StatAccumulator.from_block(values)
-        self.merge(block)
-
     @staticmethod
     def from_block(values):
+        """Summary of a non-empty block of observations (two-pass)."""
         values = np.asarray(values, dtype=float)
         n = values.size
         mean = float(np.sum(values)) / n
@@ -236,7 +213,7 @@ def _block_counts(samples):
 
 
 def _derived_arrays(res):
-    values = {name: res[name] for name in TRACKED_TERMS if name in res}
+    values = {name: res[name] for name in TERMS}
     t_res = res["T_res"]
     t_ac = res["T_ac"]
     e_c = res["E_c"]
@@ -301,14 +278,9 @@ def run_single(d, N, mode, samples, seed, cfg=DEFAULT_TOLERANCES, threads=None):
     for term in TRACKED_TERMS:
         acc = accum[term]
         exp = expected.get(term)
-        abs_diff = weighted = ratio = None
-        if exp is not None:
-            abs_diff = abs(acc.mean - exp)
-            weighted = 2.0 * nu * abs_diff
-            if acc.stderr > 0.0:
-                ratio = abs_diff / acc.stderr
-            else:
-                ratio = 0.0 if abs_diff <= ZERO_FLOOR else math.inf
+        abs_diff, weighted, ratio = (
+            (None, None, None) if exp is None
+            else _discrepancy(acc.mean, acc.stderr, exp, N))
         terms[term] = TermReport(
             term=term,
             count=acc.count,
@@ -348,14 +320,19 @@ def run_experiment(d, n_min, n_max, samples, mode, seed,
     return reports
 
 
-def _mean_check(report, term, expected, sigma_threshold):
-    tr = report.terms[term]
-    abs_diff = abs(tr.mean - expected)
-    weighted = 2.0 * (report.N - 1) * abs_diff
-    if tr.stderr > 0.0:
-        ratio = abs_diff / tr.stderr
+def _discrepancy(mean, stderr, expected, N):
+    """(|mean - expected|, its nu-weighted form, its ratio to stderr)."""
+    abs_diff = abs(mean - expected)
+    if stderr > 0.0:
+        ratio = abs_diff / stderr
     else:
         ratio = 0.0 if abs_diff <= ZERO_FLOOR else math.inf
+    return abs_diff, 2.0 * (N - 1) * abs_diff, ratio
+
+
+def _mean_check(report, term, expected, sigma_threshold):
+    tr = report.terms[term]
+    abs_diff, weighted, ratio = _discrepancy(tr.mean, tr.stderr, expected, report.N)
     passed = abs_diff <= ZERO_FLOOR or ratio <= sigma_threshold
     return Check(
         N=report.N, mode=report.mode, term=term, kind="mean",
@@ -401,10 +378,11 @@ def verify_report(reports, expectations=None, sigma_threshold=4.0):
             if term not in report.terms:
                 raise KeyError(f"report for N={report.N} lacks term {term!r}")
             checks.append(_mean_check(report, term, value, sigma_threshold))
-        # The sign of the residual is only distributed for d >= 2 and
-        # N >= 3; on the line and for two particles it vanishes identically.
-        if report.d >= 2 and report.N >= 3 and "T_res" in expected:
-            checks.append(_sign_check(report, sigma_threshold))
+            # The sign of the residual is only distributed for d >= 2 and
+            # N >= 3; on the line and for two particles it vanishes
+            # identically.
+            if term == "T_res" and report.d >= 2 and report.N >= 3:
+                checks.append(_sign_check(report, sigma_threshold))
     mean_checks = [c for c in checks if c.kind == "mean"]
     summary = {
         "checks": len(checks),

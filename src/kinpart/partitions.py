@@ -11,38 +11,27 @@ computed:
   T_rot = E_out + E_in + E_c      direct-sum split in the SVD frame,
                                   refined into E_outA/B and E_inA/B
 
-The fast path works in the SVD frame of Z: the rates of the orthogonal
-factors are recovered from 2x2 solves on W = D.T @ Zdot @ X, and the
-tangent-space projections reduce to closed-form expressions in W and the
-singular values.  project_oracle recomputes the projections by explicit
-least squares over spanning sets of the tangent spaces and exists to keep
-the fast path honest.
+compute_partition evaluates one system as a batch of one of the engine in
+kinpart._batch, so a single system and a sampled block share every line
+of the arithmetic.  svd_rates gives the full SVD factors of Z and their
+rates along Zdot for callers that need the factors themselves.
+project_oracle recomputes the projections by explicit least squares over
+spanning sets of the tangent spaces, and eigenvector_split_oracle the
+E_out/E_in refinements by eigenvector perturbation theory; both exist to
+keep the engine honest.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdFactors, embed_diagonal, svd, sym_eigen
-from .momenta import MomentaResult, momenta_fast
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Relative thresholds used by the SVD-frame rate solve.
-
-    gap_tol scales xi_1^2: singular value pairs whose squared gap is below
-    gap_tol * xi_1^2 are treated as repeated (degenerate).  zero_tol scales
-    xi_1: singular values below zero_tol * xi_1 count as zero when the
-    positive count k is decided.  Random continuous samples are generically
-    non-degenerate, so these guard numerics, not semantics.
-    """
-
-    gap_tol: float = 1e-9
-    zero_tol: float = 1e-12
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+from ._batch import (
+    DEFAULT_TOLERANCES, MOMENTA, TERMS, ToleranceConfig, partition_batch,
+)
+from .linalg import SvdFactors, svd, sym_eigen
+from .momenta import MomentaResult
+# Not called here: perfbench/spans.py wraps kinpart.partitions.momenta_fast.
+from .momenta import momenta_fast  # noqa: F401
 
 
 @dataclass
@@ -94,14 +83,7 @@ class PartitionResult:
 
     def terms(self):
         """The 19 energy terms as an ordered name -> value dict."""
-        return {
-            name: getattr(self, name)
-            for name in (
-                "T", "T_lambda", "T_rho", "T_rot", "T_I", "T_xi",
-                "T_ext", "T_int", "T_res", "T_J", "T_K", "T_ac",
-                "E_out", "E_outA", "E_outB", "E_in", "E_inA", "E_inB", "E_c",
-            )
-        }
+        return {name: getattr(self, name) for name in TERMS}
 
 
 def svd_rates(z, zdot, cfg=DEFAULT_TOLERANCES):
@@ -162,57 +144,28 @@ def svd_rates(z, zdot, cfg=DEFAULT_TOLERANCES):
     )
 
 
-def _pad_xi(xi, size):
-    out = np.zeros(size)
-    out[: xi.size] = xi
-    return out
-
-
-def _tangent_projection_energies(mass, frame, d, n, zero_abs):
-    """T_ext and T_int from the normal equations in the SVD frame.
-
-    The skew matrix R minimizing ||Zdot - R @ Z|| solves
-    R @ (Z Z^T) + (Z Z^T) @ R = Zdot Z^T - Z Zdot^T; in the D basis Z Z^T is
-    diagonal, so entrywise R'[i, j] = (W[i, j] xi_j - xi_i W[j, i]) /
-    (xi_i^2 + xi_j^2), and T_ext = (M/2) ||R' Upsilon||^2.  Entries where
-    both singular values sit at zero are unconstrained (those directions
-    annihilate Z) and are set to zero.  T_int is the mirror image.
-    """
-    w = frame.W
-    m = min(d, n)
-    xi_d = _pad_xi(frame.factors.xi, d)
-    xi_n = _pad_xi(frame.factors.xi, n)
-
-    wd = np.zeros((d, d))
-    wd[:, :m] = w[:, :m]
-    num = wd * xi_d[None, :] - xi_d[:, None] * wd.T
-    den = xi_d[:, None] ** 2 + xi_d[None, :] ** 2
-    live = (xi_d[:, None] > zero_abs) | (xi_d[None, :] > zero_abs)
-    r_prime = np.where(live, num / np.where(den > 0.0, den, 1.0), 0.0)
-    t_ext = 0.5 * mass * float(np.sum((r_prime * xi_d[None, :]) ** 2))
-
-    wn = np.zeros((n, n))
-    wn[:m, :] = w[:m, :]
-    num = xi_n[:, None] * wn - wn.T * xi_n[None, :]
-    den = xi_n[:, None] ** 2 + xi_n[None, :] ** 2
-    live = (xi_n[:, None] > zero_abs) | (xi_n[None, :] > zero_abs)
-    q_prime = np.where(live, num / np.where(den > 0.0, den, 1.0), 0.0)
-    t_int = 0.5 * mass * float(np.sum((xi_n[:, None] * q_prime) ** 2))
-    return t_ext, t_int
-
-
 def compute_partition(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     """All 19 energy terms and 4 squared momenta of one system.
 
-    T_rot is taken as the exact complement T - T_I, and T_res, T_ac, E_c as
-    exact complements of their partitions, so the five partition identities
-    hold by construction.  The singular-expansion terms are reported from
-    the regularized solve when Z has (numerically) repeated non-zero
-    singular values; the degenerate flag marks those systems.
+    Evaluated by partition_batch as a batch of one, on Z and Zdot rescaled
+    by powers of two, so the result equals the matching row of a batch
+    call bit for bit and the term ratios do not depend on the overall
+    scale.  T_rot = T - T_I, and T_res, T_ac, E_c are exact complements of
+    their partitions, so the five partition identities hold by
+    construction.  The degenerate flag marks (numerically) repeated
+    non-zero singular values, where the singular-expansion terms come from
+    the regularized solve.  Raises ValueError on non-finite input, a zero
+    hyperradius, or a result beyond the double range (results below it
+    come out 0).
+
+    Known limit: at a rank drop without a null direction shared by Z and
+    Zdot, such as three particles on a line in the plane, T_I misses the
+    null block, the fast terms disagree with project_oracle, and the
+    degenerate flag stays False.
     """
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
-    if z.shape != zdot.shape:
+    if z.ndim != 2 or z.shape != zdot.shape:
         raise ValueError(f"shape mismatch: Z {z.shape} vs Zdot {zdot.shape}")
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zdot))):
         raise ValueError("non-finite entries")
@@ -223,68 +176,17 @@ def compute_partition(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     # cannot underflow or overflow whatever the scale of the input.
     _, z_exp = np.frexp(np.max(np.abs(z)))
     _, zdot_exp = np.frexp(np.max(np.abs(zdot)))
-    z = np.ldexp(z, -z_exp)
-    zdot = np.ldexp(zdot, -zdot_exp)
-    z2 = float(np.sum(z * z))
-    if z2 == 0.0:
-        raise ValueError("zero hyperradius")
-    d, n = z.shape
-    m = min(d, n)
-
-    frame = svd_rates(z, zdot, cfg)
-    xi = frame.factors.xi
-    xidot = frame.xidot
-    zero_abs = cfg.zero_tol * xi[0]
-    k = frame.k
-
-    zd2 = float(np.sum(zdot * zdot))
-    inner = float(np.sum(z * zdot))
-    total = 0.5 * mass * zd2
-    t_rho = 0.5 * mass * inner * inner / z2
-
-    mom = momenta_fast(mass, z, zdot, xi, xidot)
-    t_lambda = mom.Lambda2 / (2.0 * mass * z2)
-    t_xi = mom.L2 / (2.0 * mass * z2)
-    t_j = mom.J2 / (2.0 * mass * z2)
-    t_k = mom.K2 / (2.0 * mass * z2)
-
-    t_inert = 0.5 * mass * float(np.sum(xidot * xidot))
-    t_rot = total - t_inert
-
-    t_ext, t_int = _tangent_projection_energies(mass, frame, d, n, zero_abs)
-    t_res = t_rot - t_ext - t_int
-    t_ac = t_rot - t_j - t_k
-
-    ups = embed_diagonal(xi, d, n)
-    e_out = 0.5 * mass * float(np.sum((frame.A @ ups) ** 2))
-    e_in = 0.5 * mass * float(np.sum((ups @ frame.B) ** 2))
-    e_c = t_rot - e_out - e_in
-
-    a2 = frame.A * frame.A
-    b2 = frame.B * frame.B
-    xi2 = xi[:k] * xi[:k]
-    e_out_a = 0.5 * mass * float(np.sum(a2[:k, :k] * xi2[None, :]))
-    e_out_b = 0.5 * mass * float(np.sum(a2[k:, :k] * xi2[None, :]))
-    e_in_a = 0.5 * mass * float(np.sum(b2[:k, :k] * xi2[None, :]))
-    e_in_b = 0.5 * mass * float(np.sum(b2[k:, :k] * xi2[None, :]))
-
-    terms = dict(
-        T=total, T_lambda=t_lambda, T_rho=t_rho, T_rot=t_rot, T_I=t_inert,
-        T_xi=t_xi, T_ext=t_ext, T_int=t_int, T_res=t_res,
-        T_J=t_j, T_K=t_k, T_ac=t_ac,
-        E_out=e_out, E_outA=e_out_a, E_outB=e_out_b,
-        E_in=e_in, E_inA=e_in_a, E_inB=e_in_b, E_c=e_c,
-    )
-
-    energy_exp = 2 * zdot_exp
-    momentum_exp = 2 * (z_exp + zdot_exp)
-    return PartitionResult(
-        **{name: float(np.ldexp(value, energy_exp)) for name, value in terms.items()},
-        momenta=MomentaResult(*(
-            float(np.ldexp(value, momentum_exp))
-            for value in (mom.J2, mom.K2, mom.Lambda2, mom.L2))),
-        degenerate=frame.degenerate,
-    )
+    res = partition_batch(mass, np.ldexp(z, -z_exp)[None],
+                          np.ldexp(zdot, -zdot_exp)[None], cfg)
+    with np.errstate(over="ignore"):  # refused just below
+        terms = {name: float(np.ldexp(res[name][0], 2 * zdot_exp))
+                 for name in TERMS}
+        momenta = {name: float(np.ldexp(res[name][0], 2 * (z_exp + zdot_exp)))
+                   for name in MOMENTA}
+    if not np.all(np.isfinite(list(terms.values()) + list(momenta.values()))):
+        raise ValueError("energy or momentum beyond the double range")
+    return PartitionResult(**terms, momenta=MomentaResult(**momenta),
+                           degenerate=bool(res["degenerate"][0]))
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,20 @@ def test_partition_tiny_scale_keeps_term_ratios(tmp_path, capsys):
         assert abs(tiny[name] / tiny["T"] - unit[name] / unit["T"]) <= 1e-10, name
 
 
+def test_partition_refuses_overflowing_terms(tmp_path, capsys):
+    # at 1e160, T is about 1e320, past the double range
+    huge_doc = {
+        "masses": PLANAR_FOUR["masses"],
+        "positions": (np.array(PLANAR_FOUR["positions"]) * 1e160).tolist(),
+        "velocities": (np.array(PLANAR_FOUR["velocities"]) * 1e160).tolist(),
+    }
+    code, out, err = run_cli(capsys, "partition", "--input",
+                             write_system(tmp_path, huge_doc, "huge.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "double range" in err
+
+
 def test_solver_failure_is_reported_without_traceback(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("one-sided Jacobi failed to converge in 60 sweeps")

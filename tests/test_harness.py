@@ -18,7 +18,7 @@ def test_accumulator_single_updates_match_two_pass():
     values = rng.uniform(-1.0, 3.0, size=10_000)
     acc = StatAccumulator()
     for v in values:
-        acc.update(v)
+        acc.merge(StatAccumulator.from_block([v]))
     mean, m2 = two_pass_stats(values)
     assert abs(acc.mean - mean) <= 1e-9 * max(1.0, abs(mean))
     assert abs(acc.m2 - m2) <= 1e-9 * max(1.0, m2)
@@ -30,22 +30,18 @@ def test_accumulator_single_updates_match_two_pass():
 def test_accumulator_block_and_merge_associativity():
     rng = substream(5, 1)
     values = rng.standard_normal(9999)
-    whole = StatAccumulator()
-    whole.update_block(values)
+    whole = StatAccumulator.from_block(values)
 
     # merge in two different groupings
     splits = [values[:1234], values[1234:5000], values[5000:]]
     left = StatAccumulator()
     for part in splits:
-        left.update_block(part)
-    ab = StatAccumulator()
-    ab.update_block(splits[0])
-    ab.update_block(splits[1])
-    right = StatAccumulator()
-    right.update_block(splits[2])
-    ab.merge(right)
+        left.merge(StatAccumulator.from_block(part))
+    right = StatAccumulator.from_block(splits[1])
+    right.merge(StatAccumulator.from_block(splits[2]))
+    grouped = StatAccumulator.from_block(splits[0]).merge(right)
 
-    for acc in (left, ab):
+    for acc in (left, grouped):
         assert acc.count == whole.count
         assert abs(acc.mean - whole.mean) <= 1e-10 * max(1.0, abs(whole.mean))
         assert abs(acc.m2 - whole.m2) <= 1e-10 * max(1.0, whole.m2)
@@ -55,8 +51,7 @@ def test_accumulator_block_and_merge_associativity():
 
 
 def test_accumulator_variance_and_stderr_definitions():
-    acc = StatAccumulator()
-    acc.update_block(np.array([1.0, 2.0, 3.0, 4.0]))
+    acc = StatAccumulator.from_block(np.array([1.0, 2.0, 3.0, 4.0]))
     assert acc.variance_biased == acc.m2 / 4
     assert acc.variance_unbiased == acc.m2 / 3
     assert acc.stderr == math.sqrt(acc.variance_biased / 4)
@@ -66,9 +61,7 @@ def test_merge_empty_cases():
     acc = StatAccumulator()
     acc.merge(StatAccumulator())
     assert acc.count == 0
-    other = StatAccumulator()
-    other.update(2.0)
-    acc.merge(other)
+    acc.merge(StatAccumulator.from_block([2.0]))
     assert acc.count == 1 and acc.mean == 2.0
 
 

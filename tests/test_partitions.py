@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from kinpart import (
     kinematic_reduction_frame, partition_batch, project_oracle,
     random_orthogonal, sample_system_block, substream, svd_rates,
 )
+from kinpart._batch import MOMENTA, TERMS
 from kinpart.linalg import embed_diagonal
 
 MASS = 2.0
@@ -162,15 +165,22 @@ def test_identities_bulk_sweep():
 
 
 def test_batch_matches_per_system():
+    # a single system is a batch of one: every term, momentum and flag of
+    # compute_partition equals the batch row bit for bit
     rng = substream(3, 2)
-    for d in (1, 2, 3, 5):
-        for n_particles in (2, 4, 8):
-            z, zdot, _ = sample_system_block(d, n_particles, "random", rng, 10)
-            batch = partition_batch(MASS, z, zdot)
-            for i in range(z.shape[0]):
-                single = compute_partition(MASS, z[i], zdot[i])
-                for name, value in single.terms().items():
-                    assert rel_gap(value, float(batch[name][i])) <= 1e-12, name
+    names = TERMS + MOMENTA
+    for d in (1, 2, 3, 4, 5):
+        for n_particles in (2, 3, 8, 100):
+            for mode in ("equal", "random"):
+                z, zdot, _ = sample_system_block(d, n_particles, mode, rng, 6)
+                batch = partition_batch(MASS, z, zdot)
+                for i in range(z.shape[0]):
+                    single = compute_partition(MASS, z[i], zdot[i])
+                    values = dict(single.terms(), **asdict(single.momenta))
+                    got = np.array([values[name] for name in names])
+                    want = np.array([batch[name][i] for name in names])
+                    assert got.tobytes() == want.tobytes(), (d, n_particles, mode)
+                    assert single.degenerate == batch["degenerate"][i]
 
 
 def test_projection_oracle_agreement():
@@ -345,6 +355,25 @@ def test_batch_rejects_non_finite_input():
         broken[1, 0, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             partition_batch(MASS, z, broken)
+
+
+def test_batch_rejects_out_of_range_scale():
+    # z2 * zd2 underflows at 1e-100 and z2 overflows at 1e160; the terms
+    # would come out as silent zeros or infinities
+    rng = substream(3, 13)
+    z, zdot, _ = sample_system_block(2, 4, "equal", rng, 3)
+    for scale in (1e-100, 1e160):
+        with pytest.raises(ValueError, match="normal double range"):
+            partition_batch(MASS, z * scale, zdot * scale)
+    # one system out of range is enough; z2 alone is subnormal here
+    small = z.copy()
+    small[1] *= 1e-160
+    with pytest.raises(ValueError, match="normal double range"):
+        partition_batch(MASS, small, zdot)
+    # a system at rest is in range
+    res = partition_batch(MASS, z, np.zeros_like(zdot))
+    for name in TERMS + MOMENTA:
+        assert np.all(res[name] == 0.0), name
 
 
 def test_tolerance_config_override():
