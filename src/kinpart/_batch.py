@@ -176,12 +176,14 @@ def partition_batch(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     m = min(d, n)
     m2 = mass * mass
 
-    z2 = np.sum(z * z, axis=(1, 2))
-    zd2 = np.sum(zdot * zdot, axis=(1, 2))
-    inner = np.sum(z * zdot, axis=(1, 2))
+    # Out-of-range systems overflow here; they are refused just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = np.sum(z * z, axis=(1, 2))
+        zd2 = np.sum(zdot * zdot, axis=(1, 2))
+        inner = np.sum(z * zdot, axis=(1, 2))
+        scale = z2 * zd2
     if np.any(z2 == 0.0):
         raise ValueError("zero hyperradius")
-    scale = z2 * zd2
     in_range = (z2 >= _NORMAL_MIN) & (z2 <= _NORMAL_MAX) & (
         (zd2 == 0.0) | ((scale >= _NORMAL_MIN) & (scale <= _NORMAL_MAX)))
     if not np.all(in_range):

@@ -6,6 +6,12 @@ random substream (seed, mode, d, N, b), and block summaries are merged in
 index order.  Results are therefore byte-reproducible for a given seed and
 configuration no matter how many worker threads process the blocks.
 
+Within a block, the draws are taken whole first (ensemble.draw_systems);
+then chunks of at most max(1, CHUNK_ENTRIES // (d * N)) systems go through
+the sampler's per-row geometry and the partition engine in index order.
+The chunks' terms are concatenated and StatAccumulator.from_block runs on
+the whole block, so no sum and no CSV byte depends on the chunk size.
+
 Per (d, N, mode) the harness tracks the 19 energy terms plus the signed
 components and magnitudes of the three terms that can change sign:
 T_res, T_ac (negative fraction) and E_c (positive fraction).  Systems
@@ -21,12 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import DEFAULT_TOLERANCES, TERMS, partition_batch
-from .ensemble import MASS_MODES, MODE_CODES, sample_system_block, substream
+from .ensemble import MASS_MODES, MODE_CODES, draw_systems, substream
+# Not called here: perfbench/spans.py wraps the sampler under this name.
+from .ensemble import sample_system_block  # noqa: F401
 from .expectations import conjecture_means
 
 # Block size is part of the reproducibility contract: substreams are keyed
 # by block index, so changing this constant changes sampled values.
 BLOCK_SIZE = 4096
+
+# Entries per (rows, d, N) array of a chunk: 1 MB, so a chunk's temporaries
+# stay small whatever the block holds.  It sets memory, not sampled values.
+CHUNK_ENTRIES = 2**17
 
 THREADS_ENV = "KINPART_THREADS"
 
@@ -231,8 +243,16 @@ def _derived_arrays(res):
 def _block_summary(d, N, mode, seed, block_index, count, cfg):
     """Per-term StatAccumulators for one block of systems."""
     rng = substream(seed, MODE_CODES[mode], d, N, block_index)
-    z, zdot, _ = sample_system_block(d, N, mode, rng, count)
-    res = partition_batch(2.0, z, zdot, cfg)
+    draws = draw_systems(d, N, mode, rng, count)
+    step = max(1, CHUNK_ENTRIES // (d * N))
+    chunks = []
+    for lo in range(0, count, step):
+        # The masses are dropped at once, so they are freed before the
+        # engine's temporaries are allocated.
+        z, zdot = draws.rows(lo, min(lo + step, count))[:2]
+        chunks.append(partition_batch(2.0, z, zdot, cfg))
+    res = {key: np.concatenate([chunk[key] for chunk in chunks])
+           for key in chunks[0]}
     values = _derived_arrays(res)
     keep = ~res["degenerate"]
     n_deg = int(np.sum(res["degenerate"]))

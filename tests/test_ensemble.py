@@ -5,7 +5,8 @@ from kinpart import (
     kinematic_reduction_frame, partition_batch, sample_ball, sample_sphere,
     sample_system, sample_system_block, substream,
 )
-from kinpart.ensemble import _ball_block, _sphere_block
+from kinpart import ensemble
+from kinpart.ensemble import _ball_block, _sphere_block, draw_systems
 
 
 def test_sphere_unit_norm():
@@ -105,6 +106,25 @@ def test_mean_rotational_energy_three_on_plane():
     t_rot = partition_batch(2.0, z, zdot)["T_rot"]
     se = np.std(t_rot) / np.sqrt(t_rot.size)
     assert abs(np.mean(t_rot) - 0.5) <= 4.0 * se
+
+
+@pytest.mark.parametrize("d, n_particles, mode",
+                         [(1, 3, "random"), (2, 3, "equal"), (3, 2, "random")])
+def test_rows_in_chunks_match_one_block(monkeypatch, d, n_particles, mode):
+    # A raised threshold makes zero-norm redraws common.  They come after
+    # all of the block's draws, in index order, so any chunking of the rows
+    # gives the same systems bit for bit.
+    monkeypatch.setattr(ensemble, "_UNDERFLOW", 0.6)
+    count = 50
+    whole = sample_system_block(d, n_particles, mode, substream(4, 12, d), count)
+    draws = draw_systems(d, n_particles, mode, substream(4, 12, d), count)
+    drawn_state = draws.rng.bit_generator.state
+    chunks = [draws.rows(lo, min(lo + 7, count)) for lo in range(0, count, 7)]
+    assert draws.rng.bit_generator.state != drawn_state  # something was redrawn
+    for parts, want in zip(zip(*chunks), whole):
+        got = np.concatenate(parts)
+        assert np.array_equal(got.view(np.uint64),
+                              np.ascontiguousarray(want).view(np.uint64))
 
 
 def test_bad_arguments():

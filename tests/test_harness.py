@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kinpart import StatAccumulator, run_experiment, run_single, substream, verify_report
-from kinpart.harness import RunReport, TermReport, ZERO_FLOOR, expected_values
+from kinpart._batch import DEFAULT_TOLERANCES
+from kinpart.harness import (
+    RunReport, TermReport, ZERO_FLOOR, _block_summary, expected_values,
+)
 
 
 def two_pass_stats(values):
@@ -109,6 +113,18 @@ def test_streaming_matches_stored_samples():
     tr = rep.terms["T_rot"]
     assert abs(tr.mean - mean) <= 1e-9 * max(1.0, abs(mean))
     assert abs(tr.variance_biased - m2 / samples) <= 1e-9
+
+
+def test_block_memory_is_bounded_by_its_draws_and_one_chunk():
+    # A d = 2, N = 100 block of 4096 systems holds 13.1 MB of draws, and a
+    # chunk adds a few MB; taken whole, the block's arrays need about 37 MB.
+    tracemalloc.start()
+    try:
+        _block_summary(2, 100, "equal", 1, 0, 4096, DEFAULT_TOLERANCES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21e6
 
 
 def test_thread_count_does_not_change_results():
