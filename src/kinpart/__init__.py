@@ -26,8 +26,8 @@ from .linalg import (
 )
 from .momenta import MomentaResult, momenta_direct, momenta_fast
 from .partitions import (
-    PartitionResult, SvdFrame, ToleranceConfig, compute_partition,
-    eigenvector_split_oracle, project_oracle, svd_rates,
+    PartitionResult, SvdFrame, compute_partition, eigenvector_split_oracle,
+    project_oracle, svd_rates,
 )
 
 __version__ = "0.1.0"
@@ -36,10 +36,10 @@ __all__ = [
     "BOUNDED_TERMS", "EQUAL_MASSES", "ExpectationSet", "MASS_MODES",
     "MomentaResult", "ParticleSystem", "PartitionResult", "RANDOM_MASSES",
     "RunReport", "StatAccumulator", "SvdFactors", "SvdFrame", "TermReport",
-    "ToleranceConfig", "compute_partition", "conjecture_means",
-    "conjecture_means_exact", "eigenvector_split_oracle", "frobenius_inner",
-    "frobenius_norm", "kinematic_reduction_frame", "momenta_direct",
-    "momenta_fast", "partition_batch", "project_oracle", "random_mass_fit",
+    "compute_partition", "conjecture_means", "conjecture_means_exact",
+    "eigenvector_split_oracle", "frobenius_inner", "frobenius_norm",
+    "kinematic_reduction_frame", "momenta_direct", "momenta_fast",
+    "partition_batch", "project_oracle", "random_mass_fit",
     "random_orthogonal", "residual_magnitude_approx", "run_experiment",
     "run_single", "sample_ball", "sample_sphere", "sample_system",
     "sample_system_block", "substream", "svd", "svd_rates", "sym_eigen",

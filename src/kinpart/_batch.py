@@ -25,14 +25,13 @@ swapaxes view; only its layout differs from a (B, L, m) array, not a bit
 of any result.
 
 Input is evaluated at the scale given; a system whose z2 or z2 * zd2 is not
-a normal double is refused (compute_partition rescales first).  On
+a normal double is refused (compute_partition rescales first).  The rate
+solve's two relative thresholds are the constants GAP_TOL and ZERO_TOL.  On
 center-of-mass ensembles, full rank up to the null direction Z and Zdot
 share, the terms agree with the brute-force oracles.  At a rank drop
 without a shared null direction (e.g. collinear planar input) T_I misses
 the null block and the degenerate flag stays False.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,23 +49,13 @@ BATCH_FIELDS = TERMS + MOMENTA
 _NORMAL_MIN = np.finfo(float).tiny
 _NORMAL_MAX = np.finfo(float).max
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Relative thresholds used by the SVD-frame rate solve.
-
-    gap_tol scales xi_1^2: singular value pairs whose squared gap is below
-    gap_tol * xi_1^2 are treated as repeated (degenerate).  zero_tol scales
-    xi_1: singular values below zero_tol * xi_1 count as zero when the
-    positive count k is decided.  Random continuous samples are generically
-    non-degenerate, so these guard numerics, not semantics.
-    """
-
-    gap_tol: float = 1e-9
-    zero_tol: float = 1e-12
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# Relative thresholds of the SVD-frame rate solve.  Singular value pairs
+# whose squared gap is below GAP_TOL * xi_1^2 are treated as repeated
+# (degenerate); singular values below ZERO_TOL * xi_1 count as zero.
+# Random continuous samples are generically non-degenerate, so these guard
+# roundoff, not semantics.
+GAP_TOL = 1e-9
+ZERO_TOL = 1e-12
 
 
 def _gram(a, b):
@@ -116,49 +105,35 @@ def _frame_rates(z, zdot, dmat, xmat):
     rtail[:, s] sums W[s, b]^2 over the columns b > m (present when n > d),
     stail[:, s] sums W[i, s]^2 over the rows i > m (when d > n); both are
     computed as residual norms against the thin frame, never by subtracting
-    nearly equal numbers.
+    nearly equal numbers.  For d > n the transposed problem is solved: every
+    product and sum runs in the same order, so the bits are the same.
     """
     nsys, d, n = z.shape
-    m = min(d, n)
+    if d > n:
+        w, rtail, stail = _frame_rates(z.swapaxes(1, 2), zdot.swapaxes(1, 2),
+                                       xmat, dmat)
+        return w.swapaxes(1, 2), stail, rtail
+    m = d
+    # dtzd[s] = (D^T Zdot) row s, length n
+    dtzd = np.zeros((nsys, m, n))
+    for s in range(m):
+        acc = dtzd[:, s, :]
+        for i in range(d):
+            acc += dmat[:, i, s, None] * zdot[:, i, :]
     w = np.empty((nsys, m, m))
-    if d <= n:
-        # dtzd[s] = (D^T Zdot) row s, length n
-        dtzd = np.zeros((nsys, m, n))
-        for s in range(m):
-            acc = dtzd[:, s, :]
-            for i in range(d):
-                acc += dmat[:, i, s, None] * zdot[:, i, :]
-        for s in range(m):
-            for t in range(m):
-                w[:, s, t] = np.sum(dtzd[:, s, :] * xmat[:, :, t], axis=-1)
-        rtail = np.empty((nsys, m))
-        for s in range(m):
-            resid = dtzd[:, s, :].copy()
-            for t in range(m):
-                resid -= w[:, s, t, None] * xmat[:, :, t]
-            rtail[:, s] = np.sum(resid * resid, axis=-1)
-        stail = np.zeros_like(rtail)
-    else:
-        # zdx[t] = Zdot X column t, length d
-        zdx = np.zeros((nsys, d, m))
+    for s in range(m):
         for t in range(m):
-            acc = zdx[:, :, t]
-            for a in range(n):
-                acc += xmat[:, a, t, None] * zdot[:, :, a]
-        for s in range(m):
-            for t in range(m):
-                w[:, s, t] = np.sum(dmat[:, :, s] * zdx[:, :, t], axis=-1)
-        stail = np.empty((nsys, m))
+            w[:, s, t] = np.sum(dtzd[:, s, :] * xmat[:, :, t], axis=-1)
+    rtail = np.empty((nsys, m))
+    for s in range(m):
+        resid = dtzd[:, s, :].copy()
         for t in range(m):
-            resid = zdx[:, :, t].copy()
-            for s in range(m):
-                resid -= w[:, s, t, None] * dmat[:, :, s]
-            stail[:, t] = np.sum(resid * resid, axis=-1)
-        rtail = np.zeros_like(stail)
-    return w, rtail, stail
+            resid -= w[:, s, t, None] * xmat[:, :, t]
+        rtail[:, s] = np.sum(resid * resid, axis=-1)
+    return w, rtail, np.zeros_like(rtail)
 
 
-def partition_batch(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
+def partition_batch(mass, z, zdot):
     """All 19 terms, 4 squared momenta, and degeneracy flags for a stack.
 
     z, zdot: (B, d, n) arrays.  Returns a dict of (B,) arrays keyed by
@@ -219,8 +194,8 @@ def partition_batch(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     t_j = j2 / (2.0 * mass * z2)
     t_k = k2 / (2.0 * mass * z2)
 
-    zero_abs = cfg.zero_tol * xi[:, 0]
-    gap_abs = cfg.gap_tol * xi[:, 0] * xi[:, 0]
+    zero_abs = ZERO_TOL * xi[:, 0]
+    gap_abs = GAP_TOL * xi[:, 0] * xi[:, 0]
     pos = xi > zero_abs[:, None]
 
     degenerate = np.zeros(nsys, dtype=bool)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import DEFAULT_TOLERANCES, TERMS, partition_batch
+from ._batch import TERMS, partition_batch
 from .ensemble import MASS_MODES, MODE_CODES, draw_systems, substream
 # Not called here: perfbench/spans.py wraps the sampler under this name.
 from .ensemble import sample_system_block  # noqa: F401
@@ -208,12 +208,12 @@ def expected_values(d, N, mode):
 
 
 def thread_count():
-    """Worker threads for block processing, from the environment."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Worker threads for block processing: KINPART_THREADS, 1 if unset or
+    empty.  Raises ValueError unless it is a positive integer."""
+    raw = os.environ.get(THREADS_ENV) or "1"
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _block_counts(samples):
@@ -240,7 +240,7 @@ def _derived_arrays(res):
     return values
 
 
-def _block_summary(d, N, mode, seed, block_index, count, cfg):
+def _block_summary(d, N, mode, seed, block_index, count):
     """Per-term StatAccumulators for one block of systems."""
     rng = substream(seed, MODE_CODES[mode], d, N, block_index)
     draws = draw_systems(d, N, mode, rng, count)
@@ -250,7 +250,7 @@ def _block_summary(d, N, mode, seed, block_index, count, cfg):
         # The masses are dropped at once, so they are freed before the
         # engine's temporaries are allocated.
         z, zdot = draws.rows(lo, min(lo + step, count))[:2]
-        chunks.append(partition_batch(2.0, z, zdot, cfg))
+        chunks.append(partition_batch(2.0, z, zdot))
     res = {key: np.concatenate([chunk[key] for chunk in chunks])
            for key in chunks[0]}
     values = _derived_arrays(res)
@@ -265,18 +265,17 @@ def _block_summary(d, N, mode, seed, block_index, count, cfg):
     return n_deg, out
 
 
-def run_single(d, N, mode, samples, seed, cfg=DEFAULT_TOLERANCES, threads=None):
+def run_single(d, N, mode, samples, seed):
     """One (d, N, mode) experiment: samples systems, returns a RunReport."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if mode not in MASS_MODES:
         raise ValueError(f"unknown mass mode {mode!r}")
     counts = _block_counts(samples)
-    workers = thread_count() if threads is None else max(1, int(threads))
+    workers = thread_count()
 
     def job(args):
-        index, count = args
-        return _block_summary(d, N, mode, seed, index, count, cfg)
+        return _block_summary(d, N, mode, seed, *args)
 
     jobs = list(enumerate(counts))
     if workers > 1:
@@ -327,14 +326,13 @@ def run_single(d, N, mode, samples, seed, cfg=DEFAULT_TOLERANCES, threads=None):
     )
 
 
-def run_experiment(d, n_min, n_max, samples, mode, seed,
-                   cfg=DEFAULT_TOLERANCES, threads=None, progress=None):
+def run_experiment(d, n_min, n_max, samples, mode, seed, progress=None):
     """RunReports for every N in [n_min, n_max]."""
     if n_min < 2 or n_max < n_min:
         raise ValueError(f"invalid particle range [{n_min}, {n_max}]")
     reports = []
     for N in range(n_min, n_max + 1):
-        reports.append(run_single(d, N, mode, samples, seed, cfg, threads))
+        reports.append(run_single(d, N, mode, samples, seed))
         if progress is not None:
             progress(reports[-1])
     return reports
@@ -350,13 +348,12 @@ def _discrepancy(mean, stderr, expected, N):
     return abs_diff, 2.0 * (N - 1) * abs_diff, ratio
 
 
-def _mean_check(report, term, expected, sigma_threshold):
-    tr = report.terms[term]
-    abs_diff, weighted, ratio = _discrepancy(tr.mean, tr.stderr, expected, report.N)
+def _mean_check(report, tr, sigma_threshold):
+    abs_diff, weighted, ratio = _discrepancy(tr.mean, tr.stderr, tr.expected, report.N)
     passed = abs_diff <= ZERO_FLOOR or ratio <= sigma_threshold
     return Check(
-        N=report.N, mode=report.mode, term=term, kind="mean",
-        expected=expected, observed=tr.mean, abs_diff=abs_diff,
+        N=report.N, mode=report.mode, term=tr.term, kind="mean",
+        expected=tr.expected, observed=tr.mean, abs_diff=abs_diff,
         weighted_diff=weighted, sigma_ratio=ratio, passed=passed,
     )
 
@@ -375,29 +372,23 @@ def _sign_check(report, sigma_threshold):
     )
 
 
-def verify_report(reports, expectations=None, sigma_threshold=4.0):
+def verify_report(reports, sigma_threshold=4.0):
     """Compare run means against the closed-form values.
 
-    Every term with an expectation gets a mean check at the given sigma
-    threshold; the residual energy additionally gets a binomial check that
-    it is negative for half of the systems (d >= 2 and N >= 3 only; in the
-    other cases the residual vanishes identically and its sign is roundoff
-    noise).  Returns (checks, summary) where the
+    Every TermReport that carries an expected value gets a mean check at
+    the given sigma threshold; the residual energy additionally gets a
+    binomial check that it is negative for half of the systems (d >= 2 and
+    N >= 3 only; in the other cases the residual vanishes identically and
+    its sign is roundoff noise).  Returns (checks, summary) where the
     summary aggregates abs_diff / weighted_diff / sigma_ratio over the mean
     checks, mirroring how batches of such comparisons are usually quoted.
     """
     checks = []
     for report in reports:
-        if expectations is not None and report.N in expectations:
-            expected = expectations[report.N]
-            if hasattr(expected, "as_dict"):
-                expected = expected.as_dict()
-        else:
-            expected = expected_values(report.d, report.N, report.mode)
-        for term, value in expected.items():
-            if term not in report.terms:
-                raise KeyError(f"report for N={report.N} lacks term {term!r}")
-            checks.append(_mean_check(report, term, value, sigma_threshold))
+        for term, tr in report.terms.items():
+            if tr.expected is None:
+                continue
+            checks.append(_mean_check(report, tr, sigma_threshold))
             # The sign of the residual is only distributed for d >= 2 and
             # N >= 3; on the line and for two particles it vanishes
             # identically.

@@ -18,16 +18,16 @@ rates along Zdot for callers that need the factors themselves.
 project_oracle recomputes the projections by explicit least squares over
 spanning sets of the tangent spaces, and eigenvector_split_oracle the
 E_out/E_in refinements by eigenvector perturbation theory; both exist to
-keep the engine honest.
+keep the engine honest.  They take the squared singular values from the
+LAPACK eigenvalues of the Gram matrices (linalg.sym_eigen), never from the
+Jacobi SVD they check.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import (
-    DEFAULT_TOLERANCES, MOMENTA, TERMS, ToleranceConfig, partition_batch,
-)
+from ._batch import GAP_TOL, MOMENTA, TERMS, ZERO_TOL, partition_batch
 from .linalg import SvdFactors, svd, sym_eigen
 from .momenta import MomentaResult
 # Not called here: perfbench/spans.py wraps kinpart.partitions.momenta_fast.
@@ -78,7 +78,7 @@ class PartitionResult:
     E_inA: float
     E_inB: float
     E_c: float
-    momenta: MomentaResult
+    momenta: MomentaResult | None
     degenerate: bool
 
     def terms(self):
@@ -86,7 +86,7 @@ class PartitionResult:
         return {name: getattr(self, name) for name in TERMS}
 
 
-def svd_rates(z, zdot, cfg=DEFAULT_TOLERANCES):
+def svd_rates(z, zdot):
     """Factor rates of the SVD of z along the direction zdot.
 
     Writes W = D.T @ zdot @ X and recovers, entry by entry,
@@ -116,8 +116,8 @@ def svd_rates(z, zdot, cfg=DEFAULT_TOLERANCES):
     w = np.einsum("id,in,na->da", factors.D, zdot, factors.X)
     xidot = np.diagonal(w)[:m].copy()
 
-    gap_abs = cfg.gap_tol * xi[0] * xi[0]
-    zero_abs = cfg.zero_tol * xi[0]
+    gap_abs = GAP_TOL * xi[0] * xi[0]
+    zero_abs = ZERO_TOL * xi[0]
     k = int(np.sum(xi > zero_abs))
 
     a_raw = np.zeros((d, d))
@@ -144,7 +144,7 @@ def svd_rates(z, zdot, cfg=DEFAULT_TOLERANCES):
     )
 
 
-def compute_partition(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
+def compute_partition(mass, z, zdot):
     """All 19 energy terms and 4 squared momenta of one system.
 
     Evaluated by partition_batch as a batch of one, on Z and Zdot rescaled
@@ -155,8 +155,9 @@ def compute_partition(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     construction.  The degenerate flag marks (numerically) repeated
     non-zero singular values, where the singular-expansion terms come from
     the regularized solve.  Raises ValueError on non-finite input, a zero
-    hyperradius, or a result beyond the double range (results below it
-    come out 0).
+    hyperradius, or an energy term beyond the double range (results below
+    it come out 0).  The momenta grow as ||Z||^2 ||Zdot||^2, so they can
+    overflow where the terms do not; momenta is then None.
 
     Known limit: at a rank drop without a null direction shared by Z and
     Zdot, such as three particles on a line in the plane, T_I misses the
@@ -177,16 +178,18 @@ def compute_partition(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     _, z_exp = np.frexp(np.max(np.abs(z)))
     _, zdot_exp = np.frexp(np.max(np.abs(zdot)))
     res = partition_batch(mass, np.ldexp(z, -z_exp)[None],
-                          np.ldexp(zdot, -zdot_exp)[None], cfg)
-    with np.errstate(over="ignore"):  # refused just below
+                          np.ldexp(zdot, -zdot_exp)[None])
+    with np.errstate(over="ignore"):  # checked just below
         terms = {name: float(np.ldexp(res[name][0], 2 * zdot_exp))
                  for name in TERMS}
         momenta = {name: float(np.ldexp(res[name][0], 2 * (z_exp + zdot_exp)))
                    for name in MOMENTA}
-    if not np.all(np.isfinite(list(terms.values()) + list(momenta.values()))):
-        raise ValueError("energy or momentum beyond the double range")
-    return PartitionResult(**terms, momenta=MomentaResult(**momenta),
-                           degenerate=bool(res["degenerate"][0]))
+    if not np.all(np.isfinite(list(terms.values()))):
+        raise ValueError("energy beyond the double range")
+    return PartitionResult(
+        **terms, degenerate=bool(res["degenerate"][0]),
+        momenta=(MomentaResult(**momenta)
+                 if np.all(np.isfinite(list(momenta.values()))) else None))
 
 
 @dataclass(frozen=True)
@@ -227,23 +230,36 @@ def _kinematic_span(z):
     return basis
 
 
+# Relative rank cut of the oracles, on Gram eigenvalues (squared singular
+# values).  A cut on their square roots would count eigenvalue roundoff,
+# about sqrt(eps) * xi_1, as positive.
+_RANK_CUT = 1e-10
+
+
+def _gram_eigen(gram):
+    """sym_eigen of a Gram matrix, with the eigenvalues at or below
+    _RANK_CUT * lambda_1 set to 0."""
+    lam, vectors = sym_eigen(gram)
+    return np.where(lam > _RANK_CUT * lam[0], lam, 0.0), vectors
+
+
 def _project(basis, target):
     """Squared norm of the projection of target onto span(basis).
 
     Normal equations with a rank-revealing pseudo-inverse; the rank cut is
-    1e-10 relative to the largest Gram eigenvalue.  Also returns the
+    _RANK_CUT relative to the largest Gram eigenvalue.  Also returns the
     projected vector itself.
     """
     if not basis:
         return 0.0, np.zeros_like(target), np.zeros(0)
     a = np.stack(basis, axis=1)
     gram = a.T @ a
-    coeff = np.linalg.pinv(gram, rcond=1e-10) @ (a.T @ target)
+    coeff = np.linalg.pinv(gram, rcond=_RANK_CUT) @ (a.T @ target)
     proj = a @ coeff
     return float(np.sum(proj * proj)), proj, coeff
 
 
-def project_oracle(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
+def project_oracle(mass, z, zdot):
     """Brute-force T_ext, T_int, T_rot, E_out, E_in by explicit projection.
 
     Builds the spanning sets of the two tangent spaces and projects Zdot on
@@ -262,14 +278,9 @@ def project_oracle(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     int2, _, _ = _project(basis_q, target)
     rot2, _, coeff = _project(basis_r + basis_q, target)
 
-    xi = svd(z).xi
-    zero_abs = cfg.zero_tol * xi[0] if xi[0] > 0 else 0.0
-    gap_abs = cfg.gap_tol * xi[0] * xi[0]
-    positive = xi[xi > zero_abs]
-    split_valid = True
-    for i in range(positive.size - 1):
-        if abs(positive[i] ** 2 - positive[i + 1] ** 2) <= gap_abs:
-            split_valid = False
+    lam, _ = _gram_eigen(z @ z.T if z.shape[0] <= z.shape[1] else z.T @ z)
+    positive = lam[lam > 0.0]
+    split_valid = bool(np.all(np.abs(np.diff(positive)) > GAP_TOL * lam[0]))
     e_out2 = e_in2 = 0.0
     if split_valid:
         nr = len(basis_r)
@@ -289,7 +300,7 @@ def project_oracle(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     )
 
 
-def eigenvector_split_oracle(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
+def eigenvector_split_oracle(mass, z, zdot):
     """E_outA, E_outB, E_inA, E_inB via eigenvector derivatives.
 
     Independent route: the unit eigenvectors u_i of Z Z^T (and v_a of
@@ -304,18 +315,14 @@ def eigenvector_split_oracle(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
     """
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
-    xi = svd(z).xi
-    zero_abs = cfg.zero_tol * xi[0]
-    k = int(np.sum(xi > zero_abs))
 
-    def one_side(s_mat, sdot, dim):
-        _, vectors = sym_eigen(s_mat)
+    def one_side(s_mat, sdot):
+        lam_acc, vectors = _gram_eigen(s_mat)
+        k = int(np.sum(lam_acc > 0.0))
         overlap = vectors.T @ sdot @ vectors
-        lam_acc = np.zeros(dim)
-        lam_acc[: xi.size] = xi * xi
         comp_a = comp_b = 0.0
         for i in range(k):
-            for j in range(dim):
+            for j in range(lam_acc.size):
                 if j == i:
                     continue
                 coupling = overlap[j, i] / (lam_acc[i] - lam_acc[j])
@@ -327,7 +334,7 @@ def eigenvector_split_oracle(mass, z, zdot, cfg=DEFAULT_TOLERANCES):
         return 0.5 * mass * comp_a, 0.5 * mass * comp_b
 
     sdot_left = zdot @ z.T + z @ zdot.T
-    e_out_a, e_out_b = one_side(z @ z.T, sdot_left, z.shape[0])
+    e_out_a, e_out_b = one_side(z @ z.T, sdot_left)
     sdot_right = zdot.T @ z + z.T @ zdot
-    e_in_a, e_in_b = one_side(z.T @ z, sdot_right, z.shape[1])
+    e_in_a, e_in_b = one_side(z.T @ z, sdot_right)
     return e_out_a, e_out_b, e_in_a, e_in_b

@@ -147,6 +147,28 @@ def test_partition_refuses_overflowing_terms(tmp_path, capsys):
     assert err.startswith("error: ") and "double range" in err
 
 
+def test_partition_reports_terms_when_only_momenta_overflow(tmp_path, capsys):
+    # at 1e80, T is about 1e160 but J^2, K^2, Lambda^2 are about 1e320
+    code, out, _ = run_cli(capsys, "partition", "--input",
+                           write_system(tmp_path, PLANAR_FOUR))
+    unit = json.loads(out)
+    big_doc = {
+        "masses": PLANAR_FOUR["masses"],
+        "positions": (np.array(PLANAR_FOUR["positions"]) * 1e80).tolist(),
+        "velocities": (np.array(PLANAR_FOUR["velocities"]) * 1e80).tolist(),
+    }
+    code, out, err = run_cli(capsys, "partition", "--input",
+                             write_system(tmp_path, big_doc, "big.json"))
+    assert code == 0, err
+    big = json.loads(out)
+    for name in ("J2", "K2", "Lambda2", "L2"):
+        assert big[name] is None, name
+    for name in ("T_lambda", "T_rho", "T_rot", "T_I", "T_xi", "T_ext", "T_int",
+                 "T_res", "T_J", "T_K", "T_ac", "E_out", "E_outA", "E_outB",
+                 "E_in", "E_inA", "E_inB", "E_c"):
+        assert abs(big[name] / big["T"] - unit[name] / unit["T"]) <= 1e-10, name
+
+
 def test_solver_failure_is_reported_without_traceback(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("one-sided Jacobi failed to converge in 60 sweeps")
@@ -202,6 +224,16 @@ def test_simulate_thread_env_does_not_change_bytes(tmp_path, capsys, monkeypatch
     assert run_cli(capsys, *simulate_args(out_b))[0] == 0
     with open(out_a, "rb") as fa, open(out_b, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+def test_simulate_refuses_invalid_thread_env(tmp_path, capsys, monkeypatch, raw):
+    out = tmp_path / "run.csv"
+    monkeypatch.setenv("KINPART_THREADS", raw)
+    code, stdout, err = run_cli(capsys, *simulate_args(str(out)))
+    assert code == 2 and stdout == ""
+    assert err == f"error: KINPART_THREADS must be a positive integer, got {raw!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("d, n_min, n_max, masses", [
@@ -271,8 +303,7 @@ def test_rerun_from_embedded_header_reproduces_file(tmp_path, capsys):
     args = ["simulate", "--d", str(config["d"]),
             "--n-min", str(config["n_min"]), "--n-max", str(config["n_max"]),
             "--samples", str(config["samples"]), "--masses", config["masses"],
-            "--seed", str(config["seed"]), "--gap-tol", repr(config["gap_tol"]),
-            "--zero-tol", repr(config["zero_tol"]), "--out", again]
+            "--seed", str(config["seed"]), "--out", again]
     assert run_cli(capsys, *args)[0] == 0
     with open(out, "rb") as fa, open(again, "rb") as fb:
         assert fa.read() == fb.read()

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from kinpart import StatAccumulator, run_experiment, run_single, substream, verify_report
-from kinpart._batch import DEFAULT_TOLERANCES
 from kinpart.harness import (
     RunReport, TermReport, ZERO_FLOOR, _block_summary, expected_values,
+    thread_count,
 )
 
 
@@ -120,21 +120,37 @@ def test_block_memory_is_bounded_by_its_draws_and_one_chunk():
     # chunk adds a few MB; taken whole, the block's arrays need about 37 MB.
     tracemalloc.start()
     try:
-        _block_summary(2, 100, "equal", 1, 0, 4096, DEFAULT_TOLERANCES)
+        _block_summary(2, 100, "equal", 1, 0, 4096)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 21e6
 
 
-def test_thread_count_does_not_change_results():
-    base = run_single(2, 6, "random", 9000, seed=41, threads=1)
-    threaded = run_single(2, 6, "random", 9000, seed=41, threads=4)
+def test_thread_count_does_not_change_results(monkeypatch):
+    monkeypatch.setenv("KINPART_THREADS", "1")
+    base = run_single(2, 6, "random", 9000, seed=41)
+    monkeypatch.setenv("KINPART_THREADS", "4")
+    threaded = run_single(2, 6, "random", 9000, seed=41)
     for term, tr in base.terms.items():
         other = threaded.terms[term]
         assert tr.mean == other.mean
         assert tr.variance_biased == other.variance_biased
         assert tr.minimum == other.minimum and tr.maximum == other.maximum
+
+
+def test_thread_count_reads_a_positive_integer(monkeypatch):
+    monkeypatch.delenv("KINPART_THREADS", raising=False)
+    assert thread_count() == 1
+    for raw, count in (("", 1), ("2", 2), (" 3 ", 3)):
+        monkeypatch.setenv("KINPART_THREADS", raw)
+        assert thread_count() == count
+    for raw in ("abc", "0", "-2", "1.5", "+2"):
+        monkeypatch.setenv("KINPART_THREADS", raw)
+        with pytest.raises(ValueError, match="KINPART_THREADS must be a positive integer"):
+            thread_count()
+        with pytest.raises(ValueError, match="positive integer"):
+            run_single(2, 3, "equal", 10, seed=1)
 
 
 def test_expected_values_by_mode():
@@ -193,14 +209,17 @@ def test_verify_random_mode_checks_only_residual_terms():
         ("T_res", "mean"), ("T_res", "sign"), ("E_outB", "mean")}
 
 
-def test_verify_accepts_explicit_expectations():
-    from kinpart import conjecture_means
+def test_verify_checks_only_terms_with_expected_values():
+    from dataclasses import replace
 
     rep = run_single(2, 4, "equal", 4000, seed=3)
-    checks, summary = verify_report([rep], expectations={4: conjecture_means(2, 4)})
+    checks, summary = verify_report([rep])
     assert summary["failures"] == 0 and summary["checks"] == 14
-    checks, _ = verify_report([rep], expectations={4: {"T_rot": 2.0 / 3.0}})
-    assert [(c.term, c.kind) for c in checks] == [("T_rot", "mean")]
+    only = {name: (tr if name == "T_rot" else replace(tr, expected=None))
+            for name, tr in rep.terms.items()}
+    checks, _ = verify_report([replace(rep, terms=only)])
+    assert [(c.term, c.kind, c.expected) for c in checks] == [
+        ("T_rot", "mean", rep.terms["T_rot"].expected)]
 
 
 def test_verify_zero_floor_handles_identically_zero_terms():

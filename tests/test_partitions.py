@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from kinpart import (
-    ToleranceConfig, compute_partition, eigenvector_split_oracle,
-    kinematic_reduction_frame, partition_batch, project_oracle,
-    random_orthogonal, sample_system_block, substream, svd_rates,
+    compute_partition, eigenvector_split_oracle, kinematic_reduction_frame,
+    partition_batch, project_oracle, random_orthogonal, sample_system_block,
+    substream, svd_rates,
 )
 from kinpart._batch import MOMENTA, TERMS
 from kinpart.linalg import embed_diagonal
@@ -221,6 +221,22 @@ def test_eigenvector_split_oracle_agreement():
                 assert rel_gap(res.E_inB, ei_b) <= 1e-8
 
 
+def test_oracles_do_not_use_the_jacobi_svd(monkeypatch):
+    # The oracles check the engine, so they must not share its Jacobi SVD.
+    rng = substream(3, 6)
+    z, zdot, _ = sample_system_block(3, 5, "random", rng, 1)
+    want = (project_oracle(MASS, z[0], zdot[0]),
+            eigenvector_split_oracle(MASS, z[0], zdot[0]))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("Jacobi SVD called")
+
+    monkeypatch.setattr("kinpart.linalg.jacobi_orthogonalize", fail)
+    got = (project_oracle(MASS, z[0], zdot[0]),
+           eigenvector_split_oracle(MASS, z[0], zdot[0]))
+    assert got == want and got[0].split_valid
+
+
 def test_projection_oracle_trivial_1x1():
     oracle = project_oracle(MASS, np.array([[1.0]]), np.array([[1.0]]))
     assert oracle.T_ext == 0.0
@@ -378,12 +394,3 @@ def test_batch_rejects_out_of_range_scale():
     res = partition_batch(MASS, z, np.zeros_like(zdot))
     for name in TERMS + MOMENTA:
         assert np.all(res[name] == 0.0), name
-
-
-def test_tolerance_config_override():
-    # an absurdly wide gap tolerance marks everything degenerate
-    rng = substream(3, 11)
-    z, zdot, _ = sample_system_block(2, 4, "equal", rng, 1)
-    wide = ToleranceConfig(gap_tol=10.0, zero_tol=1e-12)
-    res = compute_partition(MASS, z[0], zdot[0], wide)
-    assert res.degenerate
