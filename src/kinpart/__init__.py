@@ -9,8 +9,7 @@ the statistics of these terms together with their closed-form mean values.
 from ._batch import partition_batch
 from .ensemble import (
     EQUAL_MASSES, MASS_MODES, RANDOM_MASSES, ParticleSystem,
-    kinematic_reduction_frame, sample_ball, sample_sphere, sample_system,
-    sample_system_block, substream,
+    kinematic_reduction_frame, sample_system, sample_system_block, substream,
 )
 from .expectations import (
     BOUNDED_TERMS, ExpectationSet, conjecture_means, conjecture_means_exact,
@@ -20,14 +19,11 @@ from .harness import (
     StatAccumulator, TermReport, RunReport, run_experiment, run_single,
     verify_report,
 )
-from .linalg import (
-    SvdFactors, frobenius_inner, frobenius_norm, random_orthogonal, svd,
-    sym_eigen,
-)
+from .linalg import random_orthogonal, sym_eigen
 from .momenta import MomentaResult, momenta_direct, momenta_fast
 from .partitions import (
-    PartitionResult, SvdFrame, compute_partition, eigenvector_split_oracle,
-    project_oracle, svd_rates,
+    PartitionResult, SvdFactors, SvdFrame, compute_partition,
+    eigenvector_split_oracle, project_oracle, svd, svd_rates,
 )
 
 __version__ = "0.1.0"
@@ -37,11 +33,9 @@ __all__ = [
     "MomentaResult", "ParticleSystem", "PartitionResult", "RANDOM_MASSES",
     "RunReport", "StatAccumulator", "SvdFactors", "SvdFrame", "TermReport",
     "compute_partition", "conjecture_means", "conjecture_means_exact",
-    "eigenvector_split_oracle", "frobenius_inner", "frobenius_norm",
-    "kinematic_reduction_frame", "momenta_direct", "momenta_fast",
-    "partition_batch", "project_oracle", "random_mass_fit",
-    "random_orthogonal", "residual_magnitude_approx", "run_experiment",
-    "run_single", "sample_ball", "sample_sphere", "sample_system",
-    "sample_system_block", "substream", "svd", "svd_rates", "sym_eigen",
-    "verify_report",
+    "eigenvector_split_oracle", "kinematic_reduction_frame",
+    "momenta_direct", "momenta_fast", "partition_batch", "project_oracle",
+    "random_mass_fit", "random_orthogonal", "residual_magnitude_approx",
+    "run_experiment", "run_single", "sample_system", "sample_system_block",
+    "substream", "svd", "svd_rates", "sym_eigen", "verify_report",
 ]

@@ -26,11 +26,11 @@ of any result.
 
 Input is evaluated at the scale given; a system whose z2 or z2 * zd2 is not
 a normal double is refused (compute_partition rescales first).  The rate
-solve's two relative thresholds are the constants GAP_TOL and ZERO_TOL.  On
-center-of-mass ensembles, full rank up to the null direction Z and Zdot
-share, the terms agree with the brute-force oracles.  At a rank drop
-without a shared null direction (e.g. collinear planar input) T_I misses
-the null block and the degenerate flag stays False.
+solve's two relative thresholds are the constants GAP_TOL and ZERO_TOL.  At
+a rank drop (collinear or coplanar input, or the center-of-mass direction of
+a sampled system with d >= N) T_I takes in the null block of W, so T_rot
+and its complements follow and the terms agree with the brute-force
+oracles; the degenerate flag marks repeated non-zero singular values only.
 """
 
 import numpy as np
@@ -181,7 +181,18 @@ def partition_batch(mass, z, zdot):
     w, rtail, stail = _frame_rates(z, zdot, dmat, xmat)
 
     xidot = np.diagonal(w, axis1=1, axis2=2).copy()
-    t_inert = 0.5 * mass * np.sum(xidot * xidot, axis=1)
+    zero_abs = ZERO_TOL * xi[:, 0]
+    pos = xi > zero_abs[:, None]
+    # The normal space of the rotation orbit at Z holds the diagonal of W
+    # and, at a rank drop, the whole null block: W[s, t] with s != t both
+    # null, and the residual tails of the null rows and columns.
+    normal = np.sum(xidot * xidot, axis=1)
+    if not np.all(pos):
+        null = ~pos
+        block = null[:, :, None] & null[:, None, :] & ~np.eye(m, dtype=bool)
+        normal += (np.sum(np.where(block, w * w, 0.0), axis=(1, 2))
+                   + np.sum(np.where(null, rtail + stail, 0.0), axis=1))
+    t_inert = 0.5 * mass * normal
     t_rot = total - t_inert
 
     l2 = np.zeros(nsys)
@@ -194,9 +205,7 @@ def partition_batch(mass, z, zdot):
     t_j = j2 / (2.0 * mass * z2)
     t_k = k2 / (2.0 * mass * z2)
 
-    zero_abs = ZERO_TOL * xi[:, 0]
     gap_abs = GAP_TOL * xi[:, 0] * xi[:, 0]
-    pos = xi > zero_abs[:, None]
 
     degenerate = np.zeros(nsys, dtype=bool)
     ext_in = np.zeros(nsys)

@@ -18,7 +18,6 @@ Worker thread count comes from the KINPART_THREADS environment variable
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -169,10 +168,7 @@ def cmd_simulate(args):
 
 
 def reports_from_rows(rows):
-    """RunReports, one per (d, N, mass mode), from parsed simulate rows.
-
-    The CSV keeps only the biased variance; the unbiased one is derived.
-    """
+    """RunReports, one per (d, N, mass mode), from parsed simulate rows."""
     groups = {}
     for row in rows:
         groups.setdefault((row["d"], row["N"], row["mass_mode"]), []).append(row)
@@ -181,8 +177,6 @@ def reports_from_rows(rows):
         terms = {row["term"]: TermReport(
             term=row["term"], count=row["count"], mean=row["mean"],
             variance_biased=row["variance_biased"],
-            variance_unbiased=(row["variance_biased"] * row["count"]
-                               / (row["count"] - 1) if row["count"] > 1 else math.nan),
             stderr=row["stderr"], minimum=row["min"], maximum=row["max"],
             expected=row["expected"], abs_diff=row["abs_diff"],
             weighted_diff=row["weighted_diff"], sigma_ratio=row["sigma_ratio"],

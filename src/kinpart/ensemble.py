@@ -47,6 +47,8 @@ MODE_CODES = {EQUAL_MASSES: 0, RANDOM_MASSES: 1}
 # Below this, 1/sqrt(mass) and 1/norm overflow; the events have probability
 # zero and trigger a redraw.
 _UNDERFLOW = 1e-300
+# Entries per slice of the Gaussian draws whose squares are summed at once.
+_NORM_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,27 @@ def _draw_sphere(rng, d, out):
         out *= 2.0 * np.pi
         return out
     chi = rng.standard_normal(out=out)
-    norms = np.sqrt(np.sum(chi * chi, axis=1))
+    norms = _row_norms(chi)
     while True:
         bad = norms < _UNDERFLOW
         if not bool(np.any(bad)):
             break
         chi[bad] = rng.standard_normal((int(np.sum(bad)), d))
-        norms = np.sqrt(np.sum(chi * chi, axis=1))
+        norms = _row_norms(chi)
     chi /= norms[:, None]
     return chi
+
+
+def _row_norms(chi):
+    """Euclidean norms of the rows of a (count, d) array, squared in slices
+    of about _NORM_ENTRIES entries so no block-sized temporary is formed;
+    each row's sum is the same as over the whole array."""
+    norms = np.empty(len(chi))
+    step = max(1, _NORM_ENTRIES // chi.shape[1])
+    for lo in range(0, len(chi), step):
+        part = chi[lo:lo + step]
+        norms[lo:lo + step] = np.sum(part * part, axis=1)
+    return np.sqrt(norms, out=norms)
 
 
 def _sphere_points(variates, d):
@@ -128,11 +142,6 @@ def _sphere_shape(count, d):
     return (count,) if d == 2 else (count, d)
 
 
-def _sphere_block(rng, count, d):
-    """count points uniform on the unit sphere in R^d."""
-    return _sphere_points(_draw_sphere(rng, d, np.empty(_sphere_shape(count, d))), d)
-
-
 def _draw_ball(rng, count, d, buf):
     """Fill buf, of count * (d + 1) doubles (2 * count at d == 2), with the
     variates of count points uniform in the unit ball, in draw order:
@@ -146,25 +155,6 @@ def _draw_ball(rng, count, d, buf):
 
 def _ball_size(count, d):
     return count * (2 if d == 2 else d + 1)
-
-
-def _ball_block(rng, count, d):
-    """count points uniform in the unit ball."""
-    return _ball_points(*_draw_ball(rng, count, d, np.empty(_ball_size(count, d))), d)
-
-
-def sample_sphere(d, rng):
-    """One point uniform on the unit sphere in R^d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return _sphere_block(rng, 1, d)[0]
-
-
-def sample_ball(d, rng):
-    """One point uniform in the closed unit ball in R^d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return _ball_block(rng, 1, d)[0]
 
 
 @dataclass(frozen=True)

@@ -130,10 +130,6 @@ class StatAccumulator:
         return self.m2 / self.count if self.count else math.nan
 
     @property
-    def variance_unbiased(self):
-        return self.m2 / (self.count - 1) if self.count > 1 else math.nan
-
-    @property
     def stderr(self):
         return math.sqrt(self.variance_biased / self.count) if self.count else math.nan
 
@@ -146,7 +142,6 @@ class TermReport:
     count: int
     mean: float
     variance_biased: float
-    variance_unbiased: float
     stderr: float
     minimum: float
     maximum: float
@@ -305,7 +300,6 @@ def run_single(d, N, mode, samples, seed):
             count=acc.count,
             mean=acc.mean,
             variance_biased=acc.variance_biased,
-            variance_unbiased=acc.variance_unbiased,
             stderr=acc.stderr,
             minimum=acc.minimum,
             maximum=acc.maximum,

@@ -1,13 +1,12 @@
 """Dense real matrix algebra for small systems.
 
-The singular value decomposition here is a one-sided Jacobi iteration with a
-fixed cyclic sweep order, so repeated calls on bit-identical input produce
-bit-identical factors on any platform.  That reproducibility is what the
-Monte Carlo harness relies on; LAPACK-grade speed is a non-goal.  All
-routines operate on plain float64 numpy arrays.
+The one SVD driver, _batch._thin_svd, rests on jacobi_orthogonalize: a
+one-sided Jacobi iteration with a fixed cyclic sweep order, so repeated
+calls on bit-identical input produce bit-identical factors on any platform.
+That reproducibility is what the Monte Carlo harness relies on;
+LAPACK-grade speed is a non-goal.  All routines operate on plain float64
+numpy arrays.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,43 +18,6 @@ _MAX_SWEEPS = 60
 # which would stall the relative convergence test), so their pairs are
 # skipped.  Downstream consumers drop these directions.
 _COLUMN_FREEZE = 1e-15
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Full factors of Z = D @ Upsilon @ X.T.
-
-    D is d x d orthogonal, X is n x n orthogonal, and xi holds the
-    min(d, n) singular values in descending order.  Upsilon is the d x n
-    matrix with xi on its main diagonal (see :func:`embed_diagonal`).
-    """
-
-    D: np.ndarray
-    xi: np.ndarray
-    X: np.ndarray
-
-
-def frobenius_inner(za, zb):
-    """Frobenius inner product Tr[za . zb^T] of two equal-shape matrices."""
-    za = np.asarray(za, dtype=float)
-    zb = np.asarray(zb, dtype=float)
-    if za.shape != zb.shape:
-        raise ValueError(f"shape mismatch: {za.shape} vs {zb.shape}")
-    return float(np.sum(za * zb))
-
-
-def frobenius_norm(z):
-    """Frobenius norm of a matrix (root of the sum of squared entries)."""
-    z = np.asarray(z, dtype=float)
-    return float(np.sqrt(np.sum(z * z)))
-
-
-def embed_diagonal(xi, d, n):
-    """The d x n matrix whose main diagonal is xi and all else zero."""
-    ups = np.zeros((d, n))
-    m = min(d, n)
-    ups[np.arange(m), np.arange(m)] = np.asarray(xi, dtype=float)[:m]
-    return ups
 
 
 def jacobi_orthogonalize(cols):
@@ -137,18 +99,6 @@ def _middle_sum(x):
     return np.cumsum(x, axis=1)[:, -1:, :]
 
 
-def _normalize_columns(cols, norms):
-    """Unit columns where the norm is meaningful, zero columns elsewhere.
-
-    Norms below the freeze cut carry no direction information (see
-    _COLUMN_FREEZE); those columns are zeroed and left for orthonormal
-    completion to fill.
-    """
-    cut = _COLUMN_FREEZE * float(np.sqrt(np.sum(norms * norms)))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return np.where(norms > cut, cols / safe[None, :], 0.0)
-
-
 def _complete_orthonormal(thin):
     """Extend thin (L x m, orthonormal or zero columns) to L x L orthogonal.
 
@@ -186,73 +136,13 @@ def _complete_orthonormal(thin):
     return np.stack(final, axis=1)
 
 
-def _fix_signs(dmat, xmat, m):
-    """Make the largest-magnitude entry of each left singular vector positive.
-
-    Sign flips of column sigma <= m are mirrored on X so the product
-    D @ Upsilon @ X.T is unchanged.  Trailing columns of either factor
-    multiply zero singular values and get the same convention on their own.
-    """
-    d = dmat.shape[1]
-    n = xmat.shape[1]
-    for sigma in range(m):
-        col = dmat[:, sigma]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            dmat[:, sigma] = -col
-            xmat[:, sigma] = -xmat[:, sigma]
-    for j in range(m, d):
-        col = dmat[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            dmat[:, j] = -col
-    for j in range(m, n):
-        col = xmat[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            xmat[:, j] = -col
-    return dmat, xmat
-
-
-def svd(z):
-    """Singular value decomposition with explicit full orthogonal factors.
-
-    Returns SvdFactors(D, xi, X) with Z = D @ embed_diagonal(xi, d, n) @ X.T,
-    xi descending and non-negative.  Deterministic: one-sided Jacobi with a
-    fixed sweep order, stable descending sort, and the positive-leading-entry
-    sign convention.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("matrix has non-finite entries")
-    d, n = z.shape
-    if d <= n:
-        rotated, vacc = jacobi_orthogonalize(z.T[None])
-        rotated, vacc = rotated[0], vacc[0]
-        xi = np.sqrt(np.sum(rotated * rotated, axis=0))
-        order = np.argsort(-xi, kind="stable")
-        xi = xi[order]
-        dmat = vacc[:, order]
-        xthin = _normalize_columns(rotated[:, order], xi)
-        xmat = _complete_orthonormal(xthin)
-    else:
-        rotated, vacc = jacobi_orthogonalize(z[None])
-        rotated, vacc = rotated[0], vacc[0]
-        xi = np.sqrt(np.sum(rotated * rotated, axis=0))
-        order = np.argsort(-xi, kind="stable")
-        xi = xi[order]
-        xmat = vacc[:, order]
-        dthin = _normalize_columns(rotated[:, order], xi)
-        dmat = _complete_orthonormal(dthin)
-    dmat, xmat = _fix_signs(dmat, xmat, min(d, n))
-    return SvdFactors(D=dmat, xi=xi, X=xmat)
-
-
 def sym_eigen(s):
     """Eigen-decomposition of a symmetric matrix, eigenvalues descending.
 
     Returns (values, vectors) with s @ vectors = vectors @ diag(values) and
-    orthonormal columns.  Serves as the independent cross-check for svd():
-    the squared singular values of Z are the eigenvalues of Z @ Z.T.
+    orthonormal columns.  Serves as the independent cross-check for the
+    Jacobi SVD: the squared singular values of Z are the eigenvalues of
+    Z @ Z.T.
     Raises ValueError if s is not symmetric to within 1e-12 (relative to
     its largest entry for matrices above unit scale).
     """

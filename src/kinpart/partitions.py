@@ -13,7 +13,8 @@ computed:
 
 compute_partition evaluates one system as a batch of one of the engine in
 kinpart._batch, so a single system and a sampled block share every line
-of the arithmetic.  svd_rates gives the full SVD factors of Z and their
+of the arithmetic.  svd is the engine's thin SVD of one matrix completed
+to full orthogonal factors, and svd_rates gives those factors and their
 rates along Zdot for callers that need the factors themselves.
 project_oracle recomputes the projections by explicit least squares over
 spanning sets of the tangent spaces, and eigenvector_split_oracle the
@@ -27,11 +28,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import GAP_TOL, MOMENTA, TERMS, ZERO_TOL, partition_batch
-from .linalg import SvdFactors, svd, sym_eigen
+from ._batch import GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _thin_svd, partition_batch
+from .linalg import _complete_orthonormal, sym_eigen
 from .momenta import MomentaResult
 # Not called here: perfbench/spans.py wraps kinpart.partitions.momenta_fast.
 from .momenta import momenta_fast  # noqa: F401
+
+
+@dataclass(frozen=True)
+class SvdFactors:
+    """Full factors of Z = D @ Upsilon @ X.T.
+
+    D is d x d orthogonal, X is n x n orthogonal, and xi holds the
+    min(d, n) singular values in descending order, the main diagonal of
+    the d x n matrix Upsilon.
+    """
+
+    D: np.ndarray
+    xi: np.ndarray
+    X: np.ndarray
+
+
+def svd(z):
+    """Singular value decomposition with explicit full orthogonal factors.
+
+    The engine's thin SVD of z as a batch of one, its long-side factor
+    completed to an orthogonal matrix, then each column of D turned so its
+    largest-magnitude entry is positive; a turned column sigma < min(d, n)
+    turns column sigma of X too, and X's other columns follow the same
+    convention on their own.  Raises ValueError on input that is not a
+    non-empty, finite 2-d matrix.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
+        raise ValueError(f"expected a non-empty 2-d matrix, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("matrix has non-finite entries")
+    xi, dmat, xmat = (factor[0] for factor in _thin_svd(z[None]))
+    if dmat.shape[1] < dmat.shape[0]:
+        dmat = _complete_orthonormal(dmat)
+    else:
+        xmat = _complete_orthonormal(xmat)
+
+    def negative(col):
+        return col[int(np.argmax(np.abs(col)))] < 0.0
+
+    for j in range(dmat.shape[1]):
+        if negative(dmat[:, j]):
+            dmat[:, j] = -dmat[:, j]
+            if j < xi.size:
+                xmat[:, j] = -xmat[:, j]
+    for j in range(xi.size, xmat.shape[1]):
+        if negative(xmat[:, j]):
+            xmat[:, j] = -xmat[:, j]
+    return SvdFactors(D=dmat, xi=xi, X=xmat)
 
 
 @dataclass
@@ -158,11 +208,6 @@ def compute_partition(mass, z, zdot):
     hyperradius, or an energy term beyond the double range (results below
     it come out 0).  The momenta grow as ||Z||^2 ||Zdot||^2, so they can
     overflow where the terms do not; momenta is then None.
-
-    Known limit: at a rank drop without a null direction shared by Z and
-    Zdot, such as three particles on a line in the plane, T_I misses the
-    null block, the fast terms disagree with project_oracle, and the
-    degenerate flag stays False.
     """
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)

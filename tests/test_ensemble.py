@@ -2,17 +2,30 @@ import numpy as np
 import pytest
 
 from kinpart import (
-    kinematic_reduction_frame, partition_batch, sample_ball, sample_sphere,
-    sample_system, sample_system_block, substream,
+    kinematic_reduction_frame, partition_batch, sample_system,
+    sample_system_block, substream,
 )
 from kinpart import ensemble
-from kinpart.ensemble import _ball_block, _sphere_block, draw_systems
+from kinpart.ensemble import (
+    _ball_points, _ball_size, _draw_ball, _draw_sphere, _row_norms,
+    _sphere_points, _sphere_shape, draw_systems,
+)
+
+
+def sphere_points(rng, count, d):
+    """count sphere points, through the sampler's own draw and geometry."""
+    return _sphere_points(_draw_sphere(rng, d, np.empty(_sphere_shape(count, d))), d)
+
+
+def ball_points(rng, count, d):
+    """count ball points, through the sampler's own draw and geometry."""
+    return _ball_points(*_draw_ball(rng, count, d, np.empty(_ball_size(count, d))), d)
 
 
 def test_sphere_unit_norm():
     rng = substream(4, 0)
     for d in (1, 2, 3, 6):
-        pts = _sphere_block(rng, 200, d)
+        pts = sphere_points(rng, 200, d)
         norms = np.sqrt(np.sum(pts * pts, axis=1))
         assert np.max(np.abs(norms - 1.0)) <= 1e-14
 
@@ -20,7 +33,7 @@ def test_sphere_unit_norm():
 def test_sphere_d1_is_fair_sign():
     # P(+1) = 1/2; binomial 3*SE at 10^4 draws = 0.015
     rng = substream(4, 1)
-    pts = _sphere_block(rng, 10_000, 1)
+    pts = sphere_points(rng, 10_000, 1)
     assert set(np.unique(pts)) <= {-1.0, 1.0}
     assert abs(np.mean(pts > 0) - 0.5) <= 0.015
 
@@ -28,14 +41,14 @@ def test_sphere_d1_is_fair_sign():
 def test_sphere_d3_second_moment():
     # E[s3^2] = 1/3; Var(s3^2) = 3/15 - 1/9 = 4/45, 3*SE at 1e5 = 2.83e-3
     rng = substream(4, 2)
-    pts = _sphere_block(rng, 100_000, 3)
+    pts = sphere_points(rng, 100_000, 3)
     assert abs(np.mean(pts[:, 2] ** 2) - 1.0 / 3.0) <= 2.83e-3
 
 
 def test_ball_radius_bound_and_moment():
     # E[|w|^2] = 1/2 in d = 2; Var = 1/3 - 1/4 = 1/12, 3*SE at 1e5 = 2.74e-3
     rng = substream(4, 3)
-    pts = _ball_block(rng, 100_000, 2)
+    pts = ball_points(rng, 100_000, 2)
     r2 = np.sum(pts * pts, axis=1)
     assert np.max(r2) <= 1.0 + 1e-12
     assert abs(np.mean(r2) - 0.5) <= 2.74e-3
@@ -44,18 +57,19 @@ def test_ball_radius_bound_and_moment():
 def test_ball_d1_mean_zero():
     # Var(w) = E[kappa^2] = 1/3, 3*SE at 1e5 = 5.48e-3
     rng = substream(4, 4)
-    pts = _ball_block(rng, 100_000, 1)
+    pts = ball_points(rng, 100_000, 1)
     assert abs(np.mean(pts)) <= 5.48e-3
 
 
-def test_single_point_helpers():
+def test_row_norms_in_slices_keep_each_row_bits(monkeypatch):
+    # slices of 24 // d rows, most with a partial last slice, give each
+    # row the bits of one np.sum over the whole array
+    monkeypatch.setattr(ensemble, "_NORM_ENTRIES", 24)
     rng = substream(4, 5)
-    s = sample_sphere(3, rng)
-    assert abs(np.sum(s * s) - 1.0) <= 1e-14
-    w = sample_ball(4, rng)
-    assert np.sum(w * w) <= 1.0
-    with pytest.raises(ValueError):
-        sample_sphere(0, rng)
+    for d in (1, 3, 4, 9, 12):
+        chi = rng.standard_normal((200, d))
+        want = np.sqrt(np.sum(chi * chi, axis=1))
+        assert _row_norms(chi).tobytes() == want.tobytes()
 
 
 def test_system_invariants():

@@ -1,36 +1,8 @@
 import numpy as np
 import pytest
 
-from kinpart import (
-    frobenius_inner, frobenius_norm, random_orthogonal, substream, svd,
-    sym_eigen,
-)
-from kinpart.linalg import embed_diagonal, jacobi_orthogonalize
-
-
-def frobenius_loops(za, zb):
-    """Direct double-loop oracle for the inner product."""
-    acc = 0.0
-    for i in range(za.shape[0]):
-        for a in range(za.shape[1]):
-            acc += za[i, a] * zb[i, a]
-    return acc
-
-
-def test_frobenius_identity_trace():
-    assert frobenius_inner(np.eye(2), np.eye(2)) == 2.0
-
-
-def test_frobenius_vs_loops():
-    rng = substream(1, 0)
-    za = rng.standard_normal((3, 4))
-    zb = rng.standard_normal((3, 4))
-    assert abs(frobenius_inner(za, zb) - frobenius_loops(za, zb)) <= 1e-14
-
-
-def test_frobenius_shape_mismatch():
-    with pytest.raises(ValueError):
-        frobenius_inner(np.eye(2), np.eye(3))
+from kinpart import random_orthogonal, substream, svd, sym_eigen
+from kinpart.linalg import jacobi_orthogonalize
 
 
 def test_frobenius_norm_equals_singular_values():
@@ -54,21 +26,38 @@ def test_svd_permutation():
     assert np.allclose(fac.xi, [1.0, 1.0], atol=1e-15)
 
 
-def check_factors(z, fac, tol=1e-12):
+def check_factors(z, fac, tol=1e-14):
     d, n = z.shape
     assert np.max(np.abs(fac.D.T @ fac.D - np.eye(d))) <= tol
     assert np.max(np.abs(fac.X.T @ fac.X - np.eye(n))) <= tol
     assert np.all(np.diff(fac.xi) <= 0.0)
     assert np.all(fac.xi >= 0.0)
-    recon = fac.D @ embed_diagonal(fac.xi, d, n) @ fac.X.T
-    assert np.max(np.abs(recon - z)) <= tol * max(1.0, frobenius_norm(z))
+    ups = np.zeros((d, n))
+    np.fill_diagonal(ups, fac.xi)
+    recon = fac.D @ ups @ fac.X.T
+    assert np.max(np.abs(recon - z)) <= tol * np.sqrt(np.sum(z * z))
+    # every column of D, and the columns of X past min(d, n), has a
+    # positive largest-magnitude entry
+    for mat in (fac.D, fac.X[:, fac.xi.size:]):
+        lead = mat[np.argmax(np.abs(mat), axis=0), np.arange(mat.shape[1])]
+        assert np.all(lead > 0.0)
 
 
 def test_svd_factor_invariants_random_shapes():
+    # every shape up to 5 x 8 and two long ones, at every rank from 0 to
+    # min(d, n); half of the rank-deficient ones also get a zero column,
+    # which keeps their rank
     rng = substream(1, 2)
-    for shape in ((1, 1), (1, 5), (4, 1), (2, 9), (9, 2), (5, 5), (3, 7)):
-        z = rng.standard_normal(shape)
-        check_factors(z, svd(z))
+    shapes = [(d, n) for d in range(1, 6) for n in range(1, 9)] + [(9, 2), (2, 9)]
+    for d, n in shapes:
+        for rank in range(min(d, n) + 1):
+            for _ in range(3):
+                z = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+                if 0 < rank < min(d, n) and rng.random() < 0.5:
+                    z[:, -1] = 0.0
+                fac = svd(z)
+                check_factors(z, fac)
+                assert np.sum(fac.xi > 1e-12 * max(fac.xi[0], 1e-300)) == rank
 
 
 def test_svd_rank_deficient_and_zero_columns():
@@ -113,7 +102,10 @@ def test_svd_rejects_bad_input():
     with pytest.raises(ValueError):
         svd(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValueError):
-        svd(np.zeros((0, 2)))
+        svd(np.array([[1.0, np.inf]]))
+    for shape in ((0, 2), (2, 0), (3,), (2, 2, 2)):
+        with pytest.raises(ValueError):
+            svd(np.zeros(shape))
 
 
 def test_jacobi_batch_matches_single():

@@ -10,7 +10,6 @@ from kinpart import (
     substream, svd_rates,
 )
 from kinpart._batch import MOMENTA, TERMS
-from kinpart.linalg import embed_diagonal
 
 MASS = 2.0
 
@@ -49,8 +48,10 @@ def test_svd_rates_skew_and_reconstruction():
         assert np.array_equal(frame.B, -frame.B.T)
         m = min(d, n)
         assert np.allclose(frame.xidot, np.diagonal(frame.W)[:m], atol=0)
-        ups = embed_diagonal(frame.factors.xi, d, n)
-        upsdot = embed_diagonal(frame.xidot, d, n)
+        ups = np.zeros((d, n))
+        upsdot = np.zeros((d, n))
+        np.fill_diagonal(ups, frame.factors.xi)
+        np.fill_diagonal(upsdot, frame.xidot)
         recon = frame.A @ ups + upsdot - ups @ frame.B
         scale = np.sqrt(np.sum(zdot * zdot))
         assert np.max(np.abs(recon - frame.W)) <= 1e-9 * max(1.0, scale)
@@ -231,10 +232,42 @@ def test_oracles_do_not_use_the_jacobi_svd(monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("Jacobi SVD called")
 
-    monkeypatch.setattr("kinpart.linalg.jacobi_orthogonalize", fail)
+    monkeypatch.setattr("kinpart._batch.jacobi_orthogonalize", fail)
     got = (project_oracle(MASS, z[0], zdot[0]),
            eigenvector_split_oracle(MASS, z[0], zdot[0]))
     assert got == want and got[0].split_valid
+
+
+def rank_deficient_system(rng, d, n_particles, rank, masses):
+    """(Z, Zdot) of particles spanning a rank-dimensional subspace of R^d,
+    with generic velocities and the centre of mass at rest at the origin."""
+    basis = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+    r = rng.standard_normal((n_particles, rank)) @ basis.T
+    v = rng.standard_normal((n_particles, d))
+    scale = np.sqrt(masses / MASS)[:, None]
+    return tuple(((x - masses @ x / MASS) * scale).T for x in (r, v))
+
+
+@pytest.mark.parametrize("d, n_particles, rank",
+                         [(2, 3, 1), (2, 5, 1), (3, 4, 1), (3, 5, 2), (4, 6, 2)])
+def test_rank_drop_terms_match_projection_oracle(d, n_particles, rank):
+    # collinear (rank 1) and coplanar (rank 2) systems: Z drops rank along
+    # directions Zdot does not share, so T_I takes in the null block of W
+    rng = substream(3, 14, d, n_particles)
+    for k in range(20):
+        masses = np.full(n_particles, MASS / n_particles)
+        if k % 2:
+            masses = rng.uniform(0.1, 1.0, n_particles)
+            masses *= MASS / masses.sum()
+        z, zdot = rank_deficient_system(rng, d, n_particles, rank, masses)
+        res = compute_partition(MASS, z, zdot)
+        oracle = project_oracle(MASS, z, zdot)
+        for name in ("T_rot", "T_ext", "T_int"):
+            assert rel_gap(getattr(res, name), getattr(oracle, name)) <= 1e-10, name
+        # T_xi comes from the rates of the singular values alone, so here
+        # T_I - T_rho exceeds it by the null block; the bounds still hold
+        assert_partition_inequalities(res.terms())
+        assert not res.degenerate
 
 
 def test_projection_oracle_trivial_1x1():

@@ -13,7 +13,9 @@ import pytest
 
 from kinpart import sample_system_block, substream
 from kinpart._batch import _frame_rates, _thin_svd
-from kinpart.ensemble import RANDOM_MASSES, TOTAL_MASS, _UNDERFLOW, _ball_block
+from kinpart.ensemble import (
+    RANDOM_MASSES, TOTAL_MASS, _UNDERFLOW, _ball_points, _ball_size, _draw_ball,
+)
 from kinpart.linalg import _COLUMN_FREEZE, jacobi_orthogonalize
 
 DIMENSIONS = (1, 2, 3, 4)
@@ -23,8 +25,12 @@ MODES = ("equal", "random")
 
 def reference_sample(d, N, mode, rng, count):
     """Same draws as sample_system_block, centred and scaled out of place."""
-    w = _ball_block(rng, count * N, d).reshape(count, N, d)
-    wdot = _ball_block(rng, count * N, d).reshape(count, N, d)
+    def ball():
+        buf = np.empty(_ball_size(count * N, d))
+        return _ball_points(*_draw_ball(rng, count * N, d, buf), d).reshape(count, N, d)
+
+    w = ball()
+    wdot = ball()
     if mode == RANDOM_MASSES:
         eta = rng.uniform(size=(count, N))
         assert not np.any(eta < _UNDERFLOW)
