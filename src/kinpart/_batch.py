@@ -8,21 +8,12 @@ of the frame (the rows or columns past min(d, n)) are taken as squared
 residual norms, which keeps the cost linear in max(d, n) per system and
 avoids the cancellation a norm-difference formula would have.
 
-All contractions loop over the small dimension (d or min(d, n)) and reduce
-with np.sum over the long axis: no BLAS calls, so results are independent
-of BLAS threading, and each slab follows the same arithmetic whatever the
-batch size, so a system gives the same bits alone or in a block.
-
-The simulate CSV bytes depend on the order of these sums.  numpy sums a
-contiguous innermost axis pairwise and any other axis one term at a time,
-while elementwise operations give the same bits in any layout.  So the
-slab sums over (d, n) and every contraction over the long axis are
-pairwise, on contiguous temporaries; the singular values in _thin_svd sum
-the rotated columns sequentially over the long axis (pairwise when m == 1,
-see linalg._middle_sum).  The sorted long-side factor is gathered as
-contiguous (B, m, L) rows, normalised in place and handed on as a
-swapaxes view; only its layout differs from a (B, L, m) array, not a bit
-of any result.
+The engine works on lane arrays, with the system index last (see
+linalg._lane_sum, which takes every sum and fixes its order): Z is held as
+(n, d, B), so a (d, n) slab is summed in particle-major order.  No BLAS is
+called and no system's arithmetic involves another's, so a system gives the
+same bits alone, anywhere in a batch, and in any memory layout of the
+input.
 
 Input is evaluated at the scale given; a system whose z2 or z2 * zd2 is not
 a normal double is refused (compute_partition rescales first).  The rate
@@ -35,7 +26,7 @@ oracles; the degenerate flag marks repeated non-zero singular values only.
 
 import numpy as np
 
-from .linalg import _COLUMN_FREEZE, _middle_sum, jacobi_orthogonalize
+from .linalg import _COLUMN_FREEZE, _lane_sum, jacobi_orthogonalize
 
 # The 19 energy terms of the five partitions, in report order.
 TERMS = (
@@ -58,19 +49,32 @@ GAP_TOL = 1e-9
 ZERO_TOL = 1e-12
 
 
+def _lanes(z):
+    """A (B, d, n) stack as a C-contiguous (n, d, B) lane array; a view of
+    the sampler's output, a copy of any other layout."""
+    return np.ascontiguousarray(np.transpose(z, (2, 1, 0)))
+
+
+def _slab_sum(a, b):
+    """Sum of a * b over all but the lane axis, in C order: particle-major
+    for an (n, d, B) slab, row-major for (d, d, B) Gram matrices."""
+    return _lane_sum((a * b).reshape(-1, a.shape[-1]))
+
+
 def _gram(a, b):
-    """(B, p, n) x (B, q, n) -> (B, p, q) row Gram matrices."""
-    nsys, p, _ = a.shape
+    """(n, p, B) x (n, q, B) lanes -> (p, q, B) Gram matrices of the rows."""
+    _, p, nsys = a.shape
     q = b.shape[1]
-    out = np.empty((nsys, p, q))
+    out = np.empty((p, q, nsys))
     for i in range(p):
         for j in range(q):
-            out[:, i, j] = np.sum(a[:, i, :] * b[:, j, :], axis=-1)
+            out[i, j] = _lane_sum(a[:, i] * b[:, j])
     return out
 
 
-def _thin_svd(z):
-    """Thin factors of a (B, d, n) stack: xi (B, m), D (B, d, m), X (B, n, m).
+def _thin_svd(z, z2):
+    """Thin factors of an (n, d, B) lane stack with squared norms z2 (B,):
+    xi (m, B), D (m, d, B) and X (m, n, B), column s of each factor at [s].
 
     The short side's factor comes out full and exactly orthogonal (it is the
     accumulated rotation product); the long side is normalized columns.
@@ -78,68 +82,63 @@ def _thin_svd(z):
     numerically-zero columns are roundoff residue and are zeroed (their W
     entries then vanish and the residual tails pick up the slack).
     """
-    nsys, d, n = z.shape
+    n, d, _ = z.shape
+    rotated, vcols = jacobi_orthogonalize(z.transpose(1, 0, 2) if d <= n else z, z2)
+    m = len(rotated)
+    # The order the CSV bytes rest on: the long side in turn, pairwise when m == 1.
+    xi = np.sqrt(_lane_sum((rotated * rotated).swapaxes(0, 1), pairwise=m == 1))
+    order = np.argsort(-xi, axis=0, kind="stable")
+    xi = np.take_along_axis(xi, order, axis=0)
+    vcols = np.take_along_axis(vcols, order[:, None], axis=0)
+    thin = np.take_along_axis(rotated, order[:, None], axis=0)
+    cut = _COLUMN_FREEZE * np.sqrt(_lane_sum(xi * xi))
+    thin /= np.where(xi > 0.0, xi, 1.0)[:, None]
+    np.copyto(thin, 0.0, where=~(xi > cut)[:, None])
     if d <= n:
-        rotated, vacc = jacobi_orthogonalize(np.transpose(z, (0, 2, 1)))
-    else:
-        rotated, vacc = jacobi_orthogonalize(z)
-    xi = np.sqrt(_middle_sum(rotated * rotated)[:, 0, :])
-    order = np.argsort(-xi, axis=1, kind="stable")
-    rows = np.arange(nsys)[:, None]
-    xi = xi[rows, order]
-    vacc = vacc[rows, :, order].swapaxes(1, 2)
-    # (B, m, L): each sorted column of `rotated` is a contiguous row.
-    thin = rotated[rows, :, order]
-    cut = _COLUMN_FREEZE * np.sqrt(np.sum(xi * xi, axis=1))
-    thin /= np.where(xi > 0.0, xi, 1.0)[:, :, None]
-    thin[~(xi > cut[:, None])] = 0.0
-    thin = thin.swapaxes(1, 2)
-    if d <= n:
-        return xi, vacc, thin
-    return xi, thin, vacc
+        return xi, vcols, thin
+    return xi, thin, vcols
 
 
-def _frame_rates(z, zdot, dmat, xmat):
-    """W = D^T Zdot X (B, m, m) plus the squared residual tails.
+def _frame_rates(zdot, dmat, xmat):
+    """W = D^T Zdot X (m, m, B) plus the squared residual tails (m, B).
 
-    rtail[:, s] sums W[s, b]^2 over the columns b > m (present when n > d),
-    stail[:, s] sums W[i, s]^2 over the rows i > m (when d > n); both are
+    zdot is an (n, d, B) lane stack, dmat and xmat the thin factors.
+    rtail[s] sums W[s, b]^2 over the columns b > m (present when n > d),
+    stail[s] sums W[i, s]^2 over the rows i > m (when d > n); both are
     computed as residual norms against the thin frame, never by subtracting
     nearly equal numbers.  For d > n the transposed problem is solved: every
     product and sum runs in the same order, so the bits are the same.
     """
-    nsys, d, n = z.shape
+    n, d, nsys = zdot.shape
     if d > n:
-        w, rtail, stail = _frame_rates(z.swapaxes(1, 2), zdot.swapaxes(1, 2),
-                                       xmat, dmat)
-        return w.swapaxes(1, 2), stail, rtail
+        w, rtail, stail = _frame_rates(zdot.transpose(1, 0, 2), xmat, dmat)
+        return w.swapaxes(0, 1), stail, rtail
     m = d
     # dtzd[s] = (D^T Zdot) row s, length n
-    dtzd = np.zeros((nsys, m, n))
+    dtzd = np.zeros((m, n, nsys))
     for s in range(m):
-        acc = dtzd[:, s, :]
         for i in range(d):
-            acc += dmat[:, i, s, None] * zdot[:, i, :]
-    w = np.empty((nsys, m, m))
+            dtzd[s] += dmat[s, i] * zdot[:, i]
+    w = np.empty((m, m, nsys))
     for s in range(m):
         for t in range(m):
-            w[:, s, t] = np.sum(dtzd[:, s, :] * xmat[:, :, t], axis=-1)
-    rtail = np.empty((nsys, m))
+            w[s, t] = _lane_sum(dtzd[s] * xmat[t])
+    rtail = np.empty((m, nsys))
     for s in range(m):
-        resid = dtzd[:, s, :].copy()
+        resid = dtzd[s]
         for t in range(m):
-            resid -= w[:, s, t, None] * xmat[:, :, t]
-        rtail[:, s] = np.sum(resid * resid, axis=-1)
+            resid -= w[s, t] * xmat[t]
+        rtail[s] = _lane_sum(resid * resid)
     return w, rtail, np.zeros_like(rtail)
 
 
 def partition_batch(mass, z, zdot):
     """All 19 terms, 4 squared momenta, and degeneracy flags for a stack.
 
-    z, zdot: (B, d, n) arrays.  Returns a dict of (B,) arrays keyed by
-    BATCH_FIELDS plus a boolean "degenerate" array.  Raises ValueError on
-    non-finite entries, a zero hyperradius, or a system whose z2 or
-    z2 * zd2 is not a normal double (zdot == 0 is accepted).
+    z, zdot: (B, d, n) arrays in any memory layout.  Returns a dict of (B,)
+    arrays keyed by BATCH_FIELDS plus a boolean "degenerate" array.  Raises
+    ValueError on non-finite entries, a zero hyperradius, or a system whose
+    z2 or z2 * zd2 is not a normal double (zdot == 0 is accepted).
     """
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
@@ -150,12 +149,14 @@ def partition_batch(mass, z, zdot):
     nsys, d, n = z.shape
     m = min(d, n)
     m2 = mass * mass
+    z = _lanes(z)
+    zdot = _lanes(zdot)
 
     # Out-of-range systems overflow here; they are refused just below.
     with np.errstate(over="ignore", invalid="ignore"):
-        z2 = np.sum(z * z, axis=(1, 2))
-        zd2 = np.sum(zdot * zdot, axis=(1, 2))
-        inner = np.sum(z * zdot, axis=(1, 2))
+        z2 = _slab_sum(z, z)
+        zd2 = _slab_sum(zdot, zdot)
+        inner = _slab_sum(z, zdot)
         scale = z2 * zd2
     if np.any(z2 == 0.0):
         raise ValueError("zero hyperradius")
@@ -173,39 +174,40 @@ def partition_batch(mass, z, zdot):
     g1 = _gram(z, z)
     g2 = _gram(z, zdot)
     g3 = _gram(zdot, zdot)
-    cross = np.sum(g2 * np.transpose(g2, (0, 2, 1)), axis=(1, 2))
-    j2 = np.maximum(m2 * (np.sum(g2 * g2, axis=(1, 2)) - cross), 0.0)
-    k2 = np.maximum(m2 * (np.sum(g1 * g3, axis=(1, 2)) - cross), 0.0)
+    cross = _slab_sum(g2, g2.swapaxes(0, 1))
+    j2 = np.maximum(m2 * (_slab_sum(g2, g2) - cross), 0.0)
+    k2 = np.maximum(m2 * (_slab_sum(g1, g3) - cross), 0.0)
 
-    xi, dmat, xmat = _thin_svd(z)
-    w, rtail, stail = _frame_rates(z, zdot, dmat, xmat)
+    xi, dmat, xmat = _thin_svd(z, z2)
+    w, rtail, stail = _frame_rates(zdot, dmat, xmat)
 
-    xidot = np.diagonal(w, axis1=1, axis2=2).copy()
-    zero_abs = ZERO_TOL * xi[:, 0]
-    pos = xi > zero_abs[:, None]
+    diag = np.arange(m)
+    xidot = w[diag, diag]
+    zero_abs = ZERO_TOL * xi[0]
+    pos = xi > zero_abs
     # The normal space of the rotation orbit at Z holds the diagonal of W
     # and, at a rank drop, the whole null block: W[s, t] with s != t both
     # null, and the residual tails of the null rows and columns.
-    normal = np.sum(xidot * xidot, axis=1)
+    normal = _lane_sum(xidot * xidot)
     if not np.all(pos):
         null = ~pos
-        block = null[:, :, None] & null[:, None, :] & ~np.eye(m, dtype=bool)
-        normal += (np.sum(np.where(block, w * w, 0.0), axis=(1, 2))
-                   + np.sum(np.where(null, rtail + stail, 0.0), axis=1))
+        block = null[:, None] & null[None, :] & ~np.eye(m, dtype=bool)[:, :, None]
+        normal += (_lane_sum(np.where(block, w * w, 0.0).reshape(m * m, nsys))
+                   + _lane_sum(np.where(null, rtail + stail, 0.0)))
     t_inert = 0.5 * mass * normal
     t_rot = total - t_inert
 
     l2 = np.zeros(nsys)
     for s in range(m - 1):
         for t in range(s + 1, m):
-            minor = xi[:, s] * xidot[:, t] - xi[:, t] * xidot[:, s]
+            minor = xi[s] * xidot[t] - xi[t] * xidot[s]
             l2 += minor * minor
     l2 *= m2
     t_xi = l2 / (2.0 * mass * z2)
     t_j = j2 / (2.0 * mass * z2)
     t_k = k2 / (2.0 * mass * z2)
 
-    gap_abs = GAP_TOL * xi[:, 0] * xi[:, 0]
+    gap_abs = GAP_TOL * xi[0] * xi[0]
 
     degenerate = np.zeros(nsys, dtype=bool)
     ext_in = np.zeros(nsys)
@@ -219,15 +221,15 @@ def partition_batch(mass, z, zdot):
 
     for s in range(m - 1):
         for t in range(s + 1, m):
-            xs = xi[:, s]
-            xt = xi[:, t]
-            wst = w[:, s, t]
-            wts = w[:, t, s]
+            xs = xi[s]
+            xt = xi[t]
+            wst = w[s, t]
+            wts = w[t, s]
             xs2 = xs * xs
             xt2 = xt * xt
             det = xt2 - xs2
             solvable = np.abs(det) > gap_abs
-            live = pos[:, s] | pos[:, t]
+            live = pos[s] | pos[t]
             degenerate |= ~solvable & live
             det_safe = np.where(solvable, det, 1.0)
             a_st = np.where(solvable, (xt * wst + xs * wts) / det_safe, 0.0)
@@ -240,15 +242,15 @@ def partition_batch(mass, z, zdot):
             int_in += den * q_st * q_st
             eout_in += den * a_st * a_st
             ein_in += den * b_st * b_st
-            both = pos[:, s] & pos[:, t]
-            lone = pos[:, s] & ~pos[:, t]
+            both = pos[s] & pos[t]
+            lone = pos[s] & ~pos[t]
             out_a += np.where(both, den * a_st * a_st, 0.0)
             in_a += np.where(both, den * b_st * b_st, 0.0)
             out_b_in += np.where(lone, xs2 * a_st * a_st, 0.0)
             in_b_in += np.where(lone, xs2 * b_st * b_st, 0.0)
 
-    stail_pos = np.sum(np.where(pos, stail, 0.0), axis=1)
-    rtail_pos = np.sum(np.where(pos, rtail, 0.0), axis=1)
+    stail_pos = _lane_sum(np.where(pos, stail, 0.0))
+    rtail_pos = _lane_sum(np.where(pos, rtail, 0.0))
 
     t_ext = 0.5 * mass * (ext_in + stail_pos)
     t_int = 0.5 * mass * (int_in + rtail_pos)

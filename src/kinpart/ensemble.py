@@ -19,23 +19,16 @@ the rare zero-norm system is redrawn there, so redraws follow all of the
 block's draws in index order.  No row's arithmetic involves another row,
 so a block gives the same bits taken whole or in chunks.
 
-The bytes of every simulate CSV also depend on the order in which the
-sampler's sums are taken.  Elementwise operations give the same bits in any
-memory layout, but numpy sums a contiguous innermost axis pairwise and any
-other axis one term at a time.  rows() works on C-contiguous (rows, N, d)
-stacks: the centroid sums over the particle axis N, which is sequential
-for d > 1 and pairwise for d == 1 (linalg._middle_sum keeps both), and the
-squared norms sum over the contiguous (N, d) slab pairwise.  Centring and
-scaling run in place, and Z and Zdot are returned as (rows, d, N)
-transposed views of those stacks, because the partition engine's full-slab
-sums run in memory order too.
+rows() builds each chunk's systems as (N, d, rows) lane arrays, with the
+system index last; linalg._lane_sum sets the order of its sums, on which
+the bytes of every simulate CSV depend.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _complete_orthonormal, _middle_sum
+from .linalg import _complete_orthonormal, _lane_sum
 
 TOTAL_MASS = 2.0
 
@@ -120,10 +113,11 @@ def _sphere_points(variates, d):
     return out
 
 
-def _ball_points(sphere, kappa, d):
+def _ball_points(sphere, kappa, d, N):
     """Ball points, radius kappa^(1/d) times a sphere point, from (slices
-    of) the sphere variates and kappa.  At d != 2 the sphere slice is
-    scaled in place."""
+    of) the sphere variates and kappa, as an (N, d, count) lane array of
+    count = kappa.size // N systems of N points each.  At d != 2 the
+    array is the sphere slice's own memory."""
     s = _sphere_points(sphere, d)
     if d == 1:
         radius = kappa
@@ -131,11 +125,13 @@ def _ball_points(sphere, kappa, d):
         radius = np.sqrt(kappa)
     else:
         radius = kappa ** (1.0 / d)
-    # One pass per coordinate: a (count, d) broadcast runs numpy's inner
-    # loop over only d elements at a time.
-    for j in range(d):
-        s[:, j] *= radius
-    return s
+    count = kappa.size // N
+    # At d != 2 the points take the place of their own variates; a ufunc
+    # reads overlapping input as if it were a copy.
+    out = np.empty((N, d, count)) if d == 2 else sphere.reshape(N, d, count)
+    np.multiply(s.reshape(count, N, d).transpose(1, 2, 0),
+                radius.reshape(count, N).T[:, None], out=out)
+    return out
 
 
 def _sphere_shape(count, d):
@@ -176,43 +172,43 @@ class SystemDraws:
     def rows(self, lo, hi):
         """Systems lo..hi-1 as Z (k, d, N), Zdot and masses (k, N), k = hi - lo.
 
-        Z and Zdot are transposed views of C-contiguous (k, N, d) stacks.
+        Z and Zdot are views of (N, d, k) lane arrays.  masses is None in
+        equal mode, where every mass is TOTAL_MASS / N.
         """
         d, N, count = self.d, self.N, hi - lo
         points = slice(lo * N, hi * N)
-        w = _ball_points(self.position[0][points], self.position[1][points],
-                         d).reshape(count, N, d)
-        wdot = _ball_points(self.velocity[0][points], self.velocity[1][points],
-                            d).reshape(count, N, d)
-        if self.eta is None:
-            masses = np.full((count, N), TOTAL_MASS / N)
-        else:
+        w = _ball_points(self.position[0][points], self.position[1][points], d, N)
+        wdot = _ball_points(self.velocity[0][points], self.velocity[1][points], d, N)
+        masses = None
+        if self.eta is not None:
             eta = self.eta[lo:hi]
             masses = TOTAL_MASS * eta / np.sum(eta, axis=1)[:, None]
 
-        w -= _middle_sum(w) / N
-        wdot -= _middle_sum(wdot) / N
-        if self.eta is not None:
-            scale = 1.0 / np.sqrt(masses)
-            w *= scale[:, :, None]
-            wdot *= scale[:, :, None]
+        # The order the CSV bytes rest on: particles in turn, pairwise at d == 1.
+        w -= _lane_sum(w, pairwise=d == 1) / N
+        wdot -= _lane_sum(wdot, pairwise=d == 1) / N
+        if masses is not None:
+            scale = (1.0 / np.sqrt(masses)).T[:, None]
+            w *= scale
+            wdot *= scale
 
-        gnorm = np.sqrt(np.sum(w * w, axis=(1, 2)))
-        gdnorm = np.sqrt(np.sum(wdot * wdot, axis=(1, 2)))
+        gnorm = np.sqrt(_lane_sum((w * w).reshape(N * d, count)))
+        gdnorm = np.sqrt(_lane_sum((wdot * wdot).reshape(N * d, count)))
         bad = (gnorm < _UNDERFLOW) | (gdnorm < _UNDERFLOW)
         if bool(np.any(bad)):
             # All points coincident: probability zero, redraw those systems.
             for idx in np.flatnonzero(bad):
                 zi, zdi, mi = sample_system_block(d, N, self.mode, self.rng, 1)
-                w[idx] = np.transpose(zi[0])
-                wdot[idx] = np.transpose(zdi[0])
-                masses[idx] = mi[0]
+                w[:, :, idx] = zi[0].T
+                wdot[:, :, idx] = zdi[0].T
+                if masses is not None:
+                    masses[idx] = mi[0]
                 gnorm[idx] = 1.0
                 gdnorm[idx] = 1.0
 
-        w /= gnorm[:, None, None]
-        wdot /= gdnorm[:, None, None]
-        return np.transpose(w, (0, 2, 1)), np.transpose(wdot, (0, 2, 1)), masses
+        w /= gnorm
+        wdot /= gdnorm
+        return w.transpose(2, 1, 0), wdot.transpose(2, 1, 0), masses
 
 
 def draw_systems(d, N, mode, rng, count):
@@ -248,7 +244,10 @@ def sample_system_block(d, N, mode, rng, count):
 
     The block is one chunk: draw_systems(...).rows(0, count).
     """
-    return draw_systems(d, N, mode, rng, count).rows(0, count)
+    z, zdot, masses = draw_systems(d, N, mode, rng, count).rows(0, count)
+    if masses is None:
+        masses = np.full((count, N), TOTAL_MASS / N)
+    return z, zdot, masses
 
 
 def sample_system(d, N, mode, rng):

@@ -5,7 +5,9 @@ one-sided Jacobi iteration with a fixed cyclic sweep order, so repeated
 calls on bit-identical input produce bit-identical factors on any platform.
 That reproducibility is what the Monte Carlo harness relies on;
 LAPACK-grade speed is a non-goal.  All routines operate on plain float64
-numpy arrays.
+numpy arrays.  The sampler and the engine keep a batch of systems in lane
+arrays, with the system index as the last, contiguous axis, and take every
+sum through _lane_sum.
 """
 
 import numpy as np
@@ -20,36 +22,80 @@ _MAX_SWEEPS = 60
 _COLUMN_FREEZE = 1e-15
 
 
-def jacobi_orthogonalize(cols):
-    """Orthogonalize the columns of each slab in a (B, L, m) stack.
+def _lane_sum(a, pairwise=True):
+    """Sum over the leading axis of a lane array, in numpy's order.
 
-    Plane rotations are applied to column pairs in a fixed cyclic order
-    (p, q), p < q, until every pair is orthogonal to within _JACOBI_TOL
-    relative to the column norms.  Returns (rotated, V) with
-    input[b] @ V[b] == rotated[b]; V[b] is m x m orthogonal.
+    A lane array keeps the system index as its last, contiguous axis, so
+    every elementwise step runs over all systems at once and gives the same
+    bits in any layout.  Sums are another matter: their order fixes the
+    bits of every result and of every simulate CSV, and this is the one
+    place that sets it.
 
-    Each slab follows the identical arithmetic path regardless of batch
-    size, so results are bit-identical whether slabs are processed alone
-    or together.  Raises RuntimeError if a slab fails to converge.
+    - pairwise=True gives the bits of np.sum over a contiguous innermost
+      axis of the same terms.  numpy adds fewer than 8 terms in order.  Up
+      to 128 it keeps 8 interleaved partial sums r0..r7, combines them as
+      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds the
+      n mod 8 remaining terms in order.  Above 128 it splits at n/2
+      rounded down to a multiple of 8 and sums both halves that way.
+      Higham, SIAM J. Sci. Comput. 14(4), 1993, analyses this order.
+    - pairwise=False adds the terms one at a time, in order: numpy's order
+      over any axis that is not innermost.
+
+    np.add.reduce over the leading axis runs its inner loop along the
+    lanes, so it adds rows in order.  With one lane numpy drops that axis
+    and would sum the leading one pairwise, so one lane is accumulated
+    instead.  The rows must not be the innermost axis in memory.
     """
-    cols = np.array(cols, dtype=float)
-    b, _, m = cols.shape
-    v = np.zeros((b, m, m))
+    n = len(a)
+    if pairwise and n >= 8:
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return _lane_sum(a[:half]) + _lane_sum(a[half:])
+        full = n - n % 8
+        r = np.add.reduce(a[:full].reshape((full // 8, 8) + a.shape[1:]), axis=0)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in a[full:]:
+            total += row
+        return total
+    if a.shape[-1] == 1:
+        # + 0.0 turns an all -0.0 sum into 0.0, as reduce's start value does.
+        return np.add.accumulate(a, axis=0)[-1] + 0.0
+    return np.add.reduce(a, axis=0)
+
+
+def jacobi_orthogonalize(cols, norm2):
+    """Orthogonalize the columns of each system in an (m, L, B) lane stack.
+
+    cols[p] is column p, of length L, of all B systems; norm2 (B,) is each
+    system's squared Frobenius norm, which the rotations preserve.  Plane
+    rotations are applied to column pairs in a fixed cyclic order (p, q),
+    p < q, until every pair is orthogonal to within _JACOBI_TOL relative to
+    the column norms.  Columns at or below _COLUMN_FREEZE of the norm are
+    frozen.  Returns (rotated, V), both lane stacks of columns:
+    rotated[q] = sum_p cols[p] * V[q, p], and V[q] is column q of an
+    m x m orthogonal matrix.
+
+    Each system follows the identical arithmetic path whatever the batch,
+    so results are bit-identical whether systems are processed alone or
+    together.  Raises RuntimeError if a system fails to converge.
+    """
+    cols = np.array(cols, dtype=float, order="C")
+    m, _, nsys = cols.shape
+    v = np.zeros((m, m, nsys))
     idx = np.arange(m)
-    v[:, idx, idx] = 1.0
+    v[idx, idx] = 1.0
     if m < 2:
         return cols, v
-    # Rotations preserve the slab norm, so the freeze cut is fixed up front.
-    cut2 = _COLUMN_FREEZE**2 * np.sum(cols * cols, axis=(1, 2))
+    cut2 = _COLUMN_FREEZE**2 * norm2
     for _ in range(_MAX_SWEEPS):
         rotated_any = False
         for p in range(m - 1):
             for q in range(p + 1, m):
-                x = cols[:, :, p]
-                y = cols[:, :, q]
-                alpha = np.sum(x * x, axis=-1)
-                beta = np.sum(y * y, axis=-1)
-                gamma = np.sum(x * y, axis=-1)
+                x = cols[p]
+                y = cols[q]
+                alpha = _lane_sum(x * x)
+                beta = _lane_sum(y * y)
+                gamma = _lane_sum(x * y)
                 apply = (
                     (np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta))
                     & (alpha > cut2)
@@ -68,35 +114,13 @@ def jacobi_orthogonalize(cols):
                 )
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = c * t
-                c = np.where(apply, c, 1.0)[:, None]
-                s = np.where(apply, s, 0.0)[:, None]
-                new_p = c * x - s * y
-                new_q = s * x + c * y
-                cols[:, :, p] = new_p
-                cols[:, :, q] = new_q
-                xv = v[:, :, p]
-                yv = v[:, :, q]
-                new_vp = c * xv - s * yv
-                new_vq = s * xv + c * yv
-                v[:, :, p] = new_vp
-                v[:, :, q] = new_vq
+                c = np.where(apply, c, 1.0)
+                s = np.where(apply, s, 0.0)
+                cols[p], cols[q] = c * x - s * y, s * x + c * y
+                v[p], v[q] = c * v[p] - s * v[q], s * v[p] + c * v[q]
         if not rotated_any:
             return cols, v
     raise RuntimeError(f"one-sided Jacobi failed to converge in {_MAX_SWEEPS} sweeps")
-
-
-def _middle_sum(x):
-    """np.sum(x, axis=1, keepdims=True) of a C-contiguous (B, L, k) stack,
-    bit for bit.
-
-    For k > 1 numpy adds the middle axis one term at a time, as cumsum
-    does, but calls its inner loop once per (b, l) with only k elements;
-    cumsum runs its inner loop along L instead.  For k == 1 the middle axis
-    is the innermost one and numpy sums it pairwise, so np.sum stays.
-    """
-    if x.shape[2] == 1:
-        return np.sum(x, axis=1, keepdims=True)
-    return np.cumsum(x, axis=1)[:, -1:, :]
 
 
 def _complete_orthonormal(thin):

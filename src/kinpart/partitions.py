@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _thin_svd, partition_batch
+from ._batch import (
+    GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _lanes, _slab_sum, _thin_svd, partition_batch,
+)
 from .linalg import _complete_orthonormal, sym_eigen
 from .momenta import MomentaResult
 # Not called here: perfbench/spans.py wraps kinpart.partitions.momenta_fast.
@@ -64,7 +66,9 @@ def svd(z):
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("matrix has non-finite entries")
-    xi, dmat, xmat = (factor[0] for factor in _thin_svd(z[None]))
+    lanes = _lanes(z[None])
+    xi, dmat, xmat = _thin_svd(lanes, _slab_sum(lanes, lanes))
+    xi, dmat, xmat = xi[:, 0], dmat[:, :, 0].T, xmat[:, :, 0].T
     if dmat.shape[1] < dmat.shape[0]:
         dmat = _complete_orthonormal(dmat)
     else:

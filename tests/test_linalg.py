@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kinpart import random_orthogonal, substream, svd, sym_eigen
-from kinpart.linalg import jacobi_orthogonalize
+from kinpart.linalg import _lane_sum, jacobi_orthogonalize
 
 
 def test_frobenius_norm_equals_singular_values():
@@ -109,14 +109,20 @@ def test_svd_rejects_bad_input():
 
 
 def test_jacobi_batch_matches_single():
-    # a slab computed inside a batch is bit-identical to the slab alone
+    # a system computed inside a batch is bit-identical to the system alone
     rng = substream(1, 7)
-    stack = rng.standard_normal((6, 7, 3))
-    rot_all, v_all = jacobi_orthogonalize(stack)
+    stack = rng.standard_normal((3, 7, 6))
+    norm2 = np.sum(stack * stack, axis=(0, 1))
+    rot_all, v_all = jacobi_orthogonalize(stack, norm2)
     for i in range(6):
-        rot_one, v_one = jacobi_orthogonalize(stack[i][None])
-        assert np.array_equal(rot_all[i], rot_one[0])
-        assert np.array_equal(v_all[i], v_one[0])
+        rot_one, v_one = jacobi_orthogonalize(stack[:, :, i:i + 1], norm2[i:i + 1])
+        assert np.array_equal(rot_all[:, :, i], rot_one[:, :, 0])
+        assert np.array_equal(v_all[:, :, i], v_one[:, :, 0])
+    # rotated[q] = sum_p cols[p] V[q, p], with V orthogonal
+    for i in range(6):
+        cols, rot, v = stack[:, :, i].T, rot_all[:, :, i].T, v_all[:, :, i].T
+        assert np.max(np.abs(cols @ v - rot)) <= 1e-14 * np.sqrt(norm2[i])
+        assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-14
 
 
 def test_svd_at_tiny_scale():
@@ -188,3 +194,45 @@ def test_random_orthogonal_first_entry_moment():
     for _ in range(draws):
         acc += random_orthogonal(4, rng)[0, 0] ** 2
     assert abs(acc / draws - 0.25) <= 0.0075
+
+
+def spread_terms(rng, shape):
+    """Terms over 16 decades, so the order of a sum shows in its bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+@pytest.mark.parametrize("lanes", (1, 257))
+def test_lane_sum_is_numpys_innermost_sum(lanes):
+    rng = substream(1, 10, lanes)
+    for n in list(range(1, 301)) + [511, 1000, 1025]:
+        terms = spread_terms(rng, (lanes, n))
+        got = _lane_sum(np.ascontiguousarray(terms.T))
+        want = np.sum(terms, axis=-1)
+        assert got.tobytes() == want.tobytes(), n
+
+
+def test_lane_sum_in_order_for_one_lane():
+    # numpy sums a lone axis of 8 or more terms pairwise; one lane must
+    # still add its rows one at a time, as it does among many lanes.
+    rng = substream(1, 11)
+    pairwise_differs = 0
+    for n in (8, 9, 17, 100, 300):
+        for shape in ((n, 1), (n, 3, 1)):
+            terms = spread_terms(rng, shape)
+            want = np.zeros(shape[1:])
+            for row in terms:
+                want = want + row
+            assert _lane_sum(terms, pairwise=False).tobytes() == want.tobytes()
+            wide = np.repeat(terms, 4, axis=-1)
+            assert np.array_equal(_lane_sum(wide, pairwise=False)[..., :1], want)
+            pairwise_differs += np.add.reduce(terms[:, 0, ...], axis=0).tobytes() != want[0].tobytes()
+    assert pairwise_differs  # the terms are order-sensitive
+
+
+def test_lane_sum_keeps_signed_zeros_as_numpy():
+    for n in (3, 8, 20, 200):
+        for lanes in (1, 4):
+            terms = np.full((n, lanes), -0.0)
+            got = _lane_sum(terms)
+            assert got.tobytes() == np.sum(terms.T, axis=-1).tobytes()
+            assert _lane_sum(terms, pairwise=False).tobytes() == np.zeros(lanes).tobytes()

@@ -172,7 +172,7 @@ def test_batch_matches_per_system():
     rng = substream(3, 2)
     names = TERMS + MOMENTA
     for d in (1, 2, 3, 4, 5):
-        for n_particles in (2, 3, 8, 100):
+        for n_particles in (2, 3, 8, 9, 17, 100):
             for mode in ("equal", "random"):
                 z, zdot, _ = sample_system_block(d, n_particles, mode, rng, 6)
                 batch = partition_batch(MASS, z, zdot)
