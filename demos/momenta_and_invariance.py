@@ -10,8 +10,7 @@ the two momentum inequalities.
 import numpy as np
 
 from kinpart import (
-    compute_partition, momenta_fast, random_orthogonal, sample_system,
-    substream, svd_rates,
+    compute_partition, random_orthogonal, sample_system, substream, svd_rates,
 )
 
 MASS = 2.0
@@ -40,14 +39,14 @@ def main():
     describe("zero column added",
              compute_partition(MASS, np.hstack([z, pad]), np.hstack([zdot, pad])))
 
-    frame = svd_rates(z, zdot)
-    mom = momenta_fast(MASS, z, zdot, frame.factors.xi, frame.xidot)
+    mom = res.momenta
     print("\nmomentum inequalities (grand momentum dominates):")
     print(f"  J2 + L2 = {mom.J2 + mom.L2:.6f} <= Lambda2 = {mom.Lambda2:.6f}")
     print(f"  K2 + L2 = {mom.K2 + mom.L2:.6f} <= Lambda2 = {mom.Lambda2:.6f}")
     print("\nsingular values and their rates along the motion:")
-    print("  xi    =", np.round(frame.factors.xi, 6))
-    print("  xidot =", np.round(frame.xidot, 6))
+    xi, xidot = svd_rates(z, zdot)
+    print("  xi    =", np.round(xi, 6))
+    print("  xidot =", np.round(xidot, 6))
 
 
 if __name__ == "__main__":

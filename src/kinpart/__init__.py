@@ -22,7 +22,7 @@ from .harness import (
 from .linalg import random_orthogonal, sym_eigen
 from .momenta import MomentaResult, momenta_direct, momenta_fast
 from .partitions import (
-    PartitionResult, SvdFactors, SvdFrame, compute_partition,
+    PartitionResult, SvdFactors, compute_partition,
     eigenvector_split_oracle, project_oracle, svd, svd_rates,
 )
 
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BOUNDED_TERMS", "EQUAL_MASSES", "ExpectationSet", "MASS_MODES",
     "MomentaResult", "ParticleSystem", "PartitionResult", "RANDOM_MASSES",
-    "RunReport", "StatAccumulator", "SvdFactors", "SvdFrame", "TermReport",
+    "RunReport", "StatAccumulator", "SvdFactors", "TermReport",
     "compute_partition", "conjecture_means", "conjecture_means_exact",
     "eigenvector_split_oracle", "kinematic_reduction_frame",
     "momenta_direct", "momenta_fast", "partition_batch", "project_oracle",

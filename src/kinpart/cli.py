@@ -155,14 +155,8 @@ def cmd_simulate(args):
         # Fixed, but kept in the header: the pinned CSV digests cover its bytes.
         "gap_tol": GAP_TOL, "zero_tol": ZERO_TOL,
     }
-    progress = None
-    if args.progress:
-        progress = lambda rep: print(
-            f"N={rep.N} done ({rep.samples} samples)", file=sys.stderr)
     reports = run_experiment(
-        args.d, args.n_min, args.n_max, args.samples, args.masses,
-        args.seed, progress=progress,
-    )
+        args.d, args.n_min, args.n_max, args.samples, args.masses, args.seed)
     write_reports_csv(args.out, reports, config)
     return 0
 
@@ -241,8 +235,7 @@ def cmd_oracle_check(args):
                            ("T_rot", part.T_rot), ("E_out", part.E_out),
                            ("E_in", part.E_in)):
             worst[name] = max(worst[name], _relative_gap(fast, getattr(oracle, name)))
-        frame = svd_rates(z, zdot)
-        direct = momenta_direct(TOTAL_MASS, z, zdot, frame.factors.xi, frame.xidot)
+        direct = momenta_direct(TOTAL_MASS, z, zdot, *svd_rates(z, zdot))
         for name in ("J2", "K2", "Lambda2", "L2"):
             worst[name] = max(
                 worst[name],
@@ -281,7 +274,6 @@ def build_parser():
     p.add_argument("--masses", choices=MASS_MODES, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--progress", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="re-check a simulate CSV")

@@ -320,16 +320,12 @@ def run_single(d, N, mode, samples, seed):
     )
 
 
-def run_experiment(d, n_min, n_max, samples, mode, seed, progress=None):
+def run_experiment(d, n_min, n_max, samples, mode, seed):
     """RunReports for every N in [n_min, n_max]."""
     if n_min < 2 or n_max < n_min:
         raise ValueError(f"invalid particle range [{n_min}, {n_max}]")
-    reports = []
-    for N in range(n_min, n_max + 1):
-        reports.append(run_single(d, N, mode, samples, seed))
-        if progress is not None:
-            progress(reports[-1])
-    return reports
+    return [run_single(d, N, mode, samples, seed)
+            for N in range(n_min, n_max + 1)]
 
 
 def _discrepancy(mean, stderr, expected, N):

@@ -5,9 +5,11 @@ angular momentum built from every 2x2 minor of the pair (Z, Zdot), and L the
 singular angular momentum built from the singular values and their rates.
 
 Two routes are provided.  momenta_direct evaluates the defining component
-sums and exists as the testing oracle; momenta_fast evaluates the Gram-matrix
-forms whose cost stays linear in the number of columns and is what the
-Monte Carlo harness uses.
+sums and exists as the testing oracle, with xi and xidot from
+partitions.svd_rates; momenta_fast evaluates the Gram-matrix forms whose
+cost stays linear in the number of columns.  The partition engine
+(_batch.partition_batch) computes the momenta the Monte Carlo harness and
+compute_partition report.
 """
 
 from dataclasses import dataclass

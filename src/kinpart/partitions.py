@@ -14,14 +14,14 @@ computed:
 compute_partition evaluates one system as a batch of one of the engine in
 kinpart._batch, so a single system and a sampled block share every line
 of the arithmetic.  svd is the engine's thin SVD of one matrix completed
-to full orthogonal factors, and svd_rates gives those factors and their
-rates along Zdot for callers that need the factors themselves.
+to full orthogonal factors.  The oracles exist to keep the engine honest:
 project_oracle recomputes the projections by explicit least squares over
-spanning sets of the tangent spaces, and eigenvector_split_oracle the
-E_out/E_in refinements by eigenvector perturbation theory; both exist to
-keep the engine honest.  They take the squared singular values from the
-LAPACK eigenvalues of the Gram matrices (linalg.sym_eigen), never from the
-Jacobi SVD they check.
+spanning sets of the tangent spaces, eigenvector_split_oracle the
+E_out/E_in refinements by eigenvector perturbation theory, and svd_rates
+the singular values and their rates, which momenta_direct needs for L.
+They take the singular values and vectors from the LAPACK
+eigen-decomposition of the Gram matrices (linalg.sym_eigen), never from
+the Jacobi SVD they check.
 """
 
 from dataclasses import dataclass
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import (
-    GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _lanes, _slab_sum, _thin_svd, partition_batch,
+    GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _lanes, _slab_sum, _thin_svd,
+    partition_batch,
 )
 from .linalg import _complete_orthonormal, sym_eigen
 from .momenta import MomentaResult
@@ -88,27 +89,6 @@ def svd(z):
     return SvdFactors(D=dmat, xi=xi, X=xmat)
 
 
-@dataclass
-class SvdFrame:
-    """SVD factors of Z together with their rates along Zdot.
-
-    W = D.T @ Zdot @ X is the rate matrix in the SVD frame; xidot is its
-    diagonal; A = D.T @ Ddot and B = X.T @ Xdot are the (exactly skew)
-    factor rates recovered from W; k counts singular values above the zero
-    threshold.  degenerate marks that at least one pair of non-zero
-    singular values was too close to solve, in which case the affected A, B
-    entries are left zero.
-    """
-
-    factors: SvdFactors
-    xidot: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    k: int
-    W: np.ndarray
-    degenerate: bool
-
-
 @dataclass(frozen=True)
 class PartitionResult:
     """All 19 energy terms of one system plus its squared momenta."""
@@ -140,62 +120,19 @@ class PartitionResult:
         return {name: getattr(self, name) for name in TERMS}
 
 
-def svd_rates(z, zdot):
-    """Factor rates of the SVD of z along the direction zdot.
-
-    Writes W = D.T @ zdot @ X and recovers, entry by entry,
-
-      xidot_s = W[s, s]
-      A[s, t], B[s, t] for s < t <= m from the 2x2 system
-          W[s, t] =  A[s, t] xi_t - xi_s B[s, t]
-          W[t, s] = -A[s, t] xi_s + xi_t B[s, t]
-      A[i, s] = W[i, s] / xi_s for rows i > m (d > n)
-      B[s, a] = -W[s, a] / xi_s for columns a > m (n > d)
-
-    so that W = A @ Upsilon + Upsilon_dot - Upsilon @ B on every entry the
-    solve determines.  Pairs of non-zero singular values whose squared gap
-    is below the tolerance are skipped (flagged degenerate, entries zero);
-    tail entries with xi_s at zero are likewise left zero.
-    """
+def _unit_scaled(z, zdot):
+    """z and zdot rescaled by powers of two, which is exact, to entries in
+    [1/2, 1), with the two exponents that scale them back.  Raises
+    ValueError on mismatched shapes or non-finite entries."""
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
-    if z.shape != zdot.shape:
+    if z.ndim != 2 or z.shape != zdot.shape:
         raise ValueError(f"shape mismatch: Z {z.shape} vs Zdot {zdot.shape}")
-    factors = svd(z)
-    xi = factors.xi
-    if xi[0] == 0.0:
-        raise ValueError("Z is identically zero")
-    d, n = z.shape
-    m = min(d, n)
-    w = np.einsum("id,in,na->da", factors.D, zdot, factors.X)
-    xidot = np.diagonal(w)[:m].copy()
-
-    gap_abs = GAP_TOL * xi[0] * xi[0]
-    zero_abs = ZERO_TOL * xi[0]
-    k = int(np.sum(xi > zero_abs))
-
-    a_raw = np.zeros((d, d))
-    b_raw = np.zeros((n, n))
-    degenerate = False
-    for s in range(m - 1):
-        for t in range(s + 1, m):
-            det = xi[t] * xi[t] - xi[s] * xi[s]
-            if abs(det) > gap_abs:
-                a_raw[s, t] = (xi[t] * w[s, t] + xi[s] * w[t, s]) / det
-                b_raw[s, t] = (xi[s] * w[s, t] + xi[t] * w[t, s]) / det
-            elif xi[s] > zero_abs or xi[t] > zero_abs:
-                degenerate = True
-    for s in range(min(m, k)):
-        if d > m:
-            a_raw[m:, s] = w[m:, s] / xi[s]
-        if n > m:
-            b_raw[s, m:] = -w[s, m:] / xi[s]
-    a_skew = a_raw - a_raw.T
-    b_skew = b_raw - b_raw.T
-    return SvdFrame(
-        factors=factors, xidot=xidot, A=a_skew, B=b_skew,
-        k=k, W=w, degenerate=degenerate,
-    )
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zdot))):
+        raise ValueError("non-finite entries")
+    _, z_exp = np.frexp(np.max(np.abs(z)))
+    _, zdot_exp = np.frexp(np.max(np.abs(zdot)))
+    return np.ldexp(z, -z_exp), np.ldexp(zdot, -zdot_exp), z_exp, zdot_exp
 
 
 def compute_partition(mass, z, zdot):
@@ -213,21 +150,12 @@ def compute_partition(mass, z, zdot):
     it come out 0).  The momenta grow as ||Z||^2 ||Zdot||^2, so they can
     overflow where the terms do not; momenta is then None.
     """
-    z = np.asarray(z, dtype=float)
-    zdot = np.asarray(zdot, dtype=float)
-    if z.ndim != 2 or z.shape != zdot.shape:
-        raise ValueError(f"shape mismatch: Z {z.shape} vs Zdot {zdot.shape}")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zdot))):
-        raise ValueError("non-finite entries")
     # Every term is quadratic in Zdot and of degree 0 in Z, and the momenta
-    # scale as ||Z||^2 ||Zdot||^2.  Both inputs are rescaled by powers of
-    # two, which is exact, to entries in [1/2, 1) and the results scaled
-    # back, so products of two squared norms (inner^2, Lambda^2, J^2, ...)
-    # cannot underflow or overflow whatever the scale of the input.
-    _, z_exp = np.frexp(np.max(np.abs(z)))
-    _, zdot_exp = np.frexp(np.max(np.abs(zdot)))
-    res = partition_batch(mass, np.ldexp(z, -z_exp)[None],
-                          np.ldexp(zdot, -zdot_exp)[None])
+    # scale as ||Z||^2 ||Zdot||^2, so products of two squared norms
+    # (inner^2, Lambda^2, J^2, ...) of the rescaled inputs cannot underflow
+    # or overflow whatever the scale of the input.
+    z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
+    res = partition_batch(mass, z[None], zdot[None])
     with np.errstate(over="ignore"):  # checked just below
         terms = {name: float(np.ldexp(res[name][0], 2 * zdot_exp))
                  for name in TERMS}
@@ -290,6 +218,35 @@ def _gram_eigen(gram):
     _RANK_CUT * lambda_1 set to 0."""
     lam, vectors = sym_eigen(gram)
     return np.where(lam > _RANK_CUT * lam[0], lam, 0.0), vectors
+
+
+def svd_rates(z, zdot):
+    """Singular values xi of z and their rates xidot along zdot.
+
+    The oracle route, which never runs the engine's Jacobi SVD: u_s are the
+    eigenvectors of the smaller Gram matrix (linalg.sym_eigen), xi_s =
+    ||Z^T u_s||, v_s is Z^T u_s / xi_s, and xidot_s = u_s^T Zdot v_s, the
+    first-order rate of a simple singular value (Stewart & Sun, Matrix
+    Perturbation Theory, 1990).  The roundoff of u_s puts a part
+    eps * xi_1 / xi_s of v_1 into Z^T u_s / xi_s; a QR factorization takes
+    out the parts along the v_t of larger xi_t.  xi_s is good to about
+    eps * xi_1, so values at or below the engine's ZERO_TOL * xi_1 get
+    xidot_s = 0 and all others keep their rate.  Inputs are rescaled by
+    powers of two, so any scale in the double range works.  Raises
+    ValueError on mismatched shapes, non-finite entries or a zero z.
+    """
+    z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
+    if not np.any(z):
+        raise ValueError("Z is identically zero")
+    if z.shape[0] > z.shape[1]:  # xi and xidot are those of the transposes
+        z, zdot = z.T, zdot.T
+    _, u = sym_eigen(z @ z.T)  # columns by descending eigenvalue
+    zu = z.T @ u  # column s is xi_s v_s
+    xi = np.sqrt(np.sum(zu * zu, axis=0))
+    v, r = np.linalg.qr(zu)
+    v *= np.sign(np.diagonal(r))
+    xidot = np.where(xi > ZERO_TOL * np.max(xi), np.sum(u * (zdot @ v), axis=0), 0.0)
+    return np.ldexp(xi, z_exp), np.ldexp(xidot, zdot_exp)
 
 
 def _project(basis, target):

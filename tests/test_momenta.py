@@ -9,13 +9,8 @@ from kinpart import (
 MASS = 2.0
 
 
-def rates_of(z, zdot):
-    frame = svd_rates(z, zdot)
-    return frame.factors.xi, frame.xidot
-
-
 def both_routes(z, zdot):
-    xi, xidot = rates_of(z, zdot)
+    xi, xidot = svd_rates(z, zdot)
     return (momenta_direct(MASS, z, zdot, xi, xidot),
             momenta_fast(MASS, z, zdot, xi, xidot))
 

@@ -6,10 +6,10 @@ import pytest
 
 from kinpart import (
     compute_partition, eigenvector_split_oracle, kinematic_reduction_frame,
-    partition_batch, project_oracle, random_orthogonal, sample_system_block,
-    substream, svd_rates,
+    momenta_direct, partition_batch, project_oracle, random_orthogonal,
+    sample_system_block, substream, svd_rates,
 )
-from kinpart._batch import MOMENTA, TERMS
+from kinpart._batch import MOMENTA, TERMS, ZERO_TOL
 
 MASS = 2.0
 
@@ -21,48 +21,60 @@ def rel_gap(a, b):
 def test_svd_rates_diagonal_rates_only():
     z = np.diag([2.0, 1.0])
     zdot = np.diag([0.3, -0.1])
-    frame = svd_rates(z, zdot)
-    assert np.allclose(frame.xidot, [0.3, -0.1], atol=1e-15)
-    assert np.max(np.abs(frame.A)) <= 1e-15
-    assert np.max(np.abs(frame.B)) <= 1e-15
+    _, xidot = svd_rates(z, zdot)
+    assert np.allclose(xidot, [0.3, -0.1], atol=1e-15)
 
 
-def test_svd_rates_hand_solved_pair():
-    # W = Zdot here; the 2x2 system A12*1 - 2*B12 = 1, -2*A12 + B12 = 0
-    # has the solution A12 = -1/3, B12 = -2/3.
-    z = np.diag([2.0, 1.0])
-    zdot = np.array([[0.0, 1.0], [0.0, 0.0]])
-    frame = svd_rates(z, zdot)
-    assert abs(frame.A[0, 1] - (-1.0 / 3.0)) <= 1e-14
-    assert abs(frame.B[0, 1] - (-2.0 / 3.0)) <= 1e-14
-    assert not frame.degenerate
-
-
-def test_svd_rates_skew_and_reconstruction():
+def test_svd_rates_match_numpy_and_central_differences():
     rng = substream(3, 0)
-    for d, n in ((2, 2), (3, 5), (5, 3), (1, 4), (4, 4)):
-        z = rng.standard_normal((d, n))
-        zdot = rng.standard_normal((d, n))
-        frame = svd_rates(z, zdot)
-        assert np.array_equal(frame.A, -frame.A.T)
-        assert np.array_equal(frame.B, -frame.B.T)
-        m = min(d, n)
-        assert np.allclose(frame.xidot, np.diagonal(frame.W)[:m], atol=0)
-        ups = np.zeros((d, n))
-        upsdot = np.zeros((d, n))
-        np.fill_diagonal(ups, frame.factors.xi)
-        np.fill_diagonal(upsdot, frame.xidot)
-        recon = frame.A @ ups + upsdot - ups @ frame.B
-        scale = np.sqrt(np.sum(zdot * zdot))
-        assert np.max(np.abs(recon - frame.W)) <= 1e-9 * max(1.0, scale)
-        # rebuild Zdot minus the null-block part it cannot represent
-        back = frame.factors.D @ recon @ frame.factors.X.T
-        k = frame.k
-        wnull = frame.W.copy()
-        wnull[:k, :] = 0.0
-        wnull[:, :k] = 0.0
-        null_part = frame.factors.D @ wnull @ frame.factors.X.T
-        assert np.max(np.abs(back + null_part - zdot)) <= 1e-9 * max(1.0, scale)
+    cases = [(rng.standard_normal((d, n)), rng.standard_normal((d, n)))
+             for d, n in ((2, 2), (3, 5), (5, 3), (1, 4), (4, 4))]
+    # small but not null: its rate is 1, though its Gram eigenvalue is
+    # below the oracles' rank cut
+    cases.append((np.diag([1.0, 1e-6]), np.diag([0.0, 1.0])))
+    # collinear: rank 1 in a 3 x 4 matrix, so two null singular values
+    cases.append((np.outer([1.0, -2.0, 0.5], [0.25, 1.0, -0.5, 2.0]),
+                  rng.standard_normal((3, 4))))
+    h = 1e-6
+    for z, zdot in cases:
+        xi, xidot = svd_rates(z, zdot)
+        want = np.linalg.svd(z, compute_uv=False)
+        assert np.max(np.abs(xi - want)) <= 1e-12 * want[0]
+        slope = (np.linalg.svd(z + h * zdot, compute_uv=False)
+                 - np.linalg.svd(z - h * zdot, compute_uv=False)) / (2.0 * h)
+        assert np.max(np.abs(xidot - slope)) <= 1e-7
+        null = want <= ZERO_TOL * want[0]
+        assert np.all(xidot[null] == 0.0)
+    assert np.count_nonzero(null) == 2
+
+
+def test_svd_rates_near_rank_drop_match_engine():
+    # square Z whose last singular value is 1e-9 of the first: its rate is
+    # well conditioned, and v_s = Z^T u_s / xi_s alone would be off by
+    # about eps / 1e-9 along v_1
+    rng = substream(3, 16)
+    for n in (2, 4):
+        for _ in range(5):
+            a = random_orthogonal(n, rng)
+            b = random_orthogonal(n, rng)
+            z = a @ np.diag(np.append(np.linspace(1.0, 0.5, n - 1), 1e-9)) @ b.T
+            zdot = rng.standard_normal((n, n))
+            direct = momenta_direct(MASS, z, zdot, *svd_rates(z, zdot))
+            engine = compute_partition(MASS, z, zdot).momenta
+            assert rel_gap(direct.L2, engine.L2) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_svd_rates_at_extreme_scales(scale):
+    rng = substream(3, 15)
+    z = rng.standard_normal((3, 5))
+    zdot = rng.standard_normal((3, 5))
+    xi, xidot = svd_rates(z, zdot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        xi_s, xidot_s = svd_rates(scale * z, zdot)
+    assert np.max(np.abs(xi_s / scale - xi)) <= 1e-12 * xi[0]
+    assert np.max(np.abs(xidot_s - xidot)) <= 1e-12 * np.max(np.abs(xidot))
 
 
 def test_svd_rates_zero_matrix_rejected():
@@ -226,15 +238,21 @@ def test_oracles_do_not_use_the_jacobi_svd(monkeypatch):
     # The oracles check the engine, so they must not share its Jacobi SVD.
     rng = substream(3, 6)
     z, zdot, _ = sample_system_block(3, 5, "random", rng, 1)
-    want = (project_oracle(MASS, z[0], zdot[0]),
-            eigenvector_split_oracle(MASS, z[0], zdot[0]))
+
+    def oracles():
+        rates = svd_rates(z[0], zdot[0])
+        return (project_oracle(MASS, z[0], zdot[0]),
+                eigenvector_split_oracle(MASS, z[0], zdot[0]),
+                [r.tolist() for r in rates],
+                momenta_direct(MASS, z[0], zdot[0], *rates))
+
+    want = oracles()
 
     def fail(*args, **kwargs):
         raise RuntimeError("Jacobi SVD called")
 
     monkeypatch.setattr("kinpart._batch.jacobi_orthogonalize", fail)
-    got = (project_oracle(MASS, z[0], zdot[0]),
-           eigenvector_split_oracle(MASS, z[0], zdot[0]))
+    got = oracles()
     assert got == want and got[0].split_valid
 
 
