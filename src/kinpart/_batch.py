@@ -62,13 +62,16 @@ def _slab_sum(a, b):
 
 
 def _gram(a, b):
-    """(n, p, B) x (n, q, B) lanes -> (p, q, B) Gram matrices of the rows."""
+    """(n, p, B) x (n, q, B) lanes -> (p, q, B) Gram matrices of the rows;
+    _gram(a, a) sums j >= i only and mirrors them, which gives the same bits."""
     _, p, nsys = a.shape
     q = b.shape[1]
     out = np.empty((p, q, nsys))
     for i in range(p):
-        for j in range(q):
+        for j in range(i if b is a else 0, q):
             out[i, j] = _lane_sum(a[:, i] * b[:, j])
+            if b is a:
+                out[j, i] = out[i, j]
     return out
 
 
@@ -144,8 +147,6 @@ def partition_batch(mass, z, zdot):
     zdot = np.asarray(zdot, dtype=float)
     if z.ndim != 3 or z.shape != zdot.shape:
         raise ValueError(f"expected matching (B, d, n) stacks, got {z.shape} vs {zdot.shape}")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zdot))):
-        raise ValueError("non-finite entries in batch")
     nsys, d, n = z.shape
     m = min(d, n)
     m2 = mass * mass
@@ -158,6 +159,11 @@ def partition_batch(mass, z, zdot):
         zd2 = _slab_sum(zdot, zdot)
         inner = _slab_sum(z, zdot)
         scale = z2 * zd2
+        finite = np.isfinite(z2 + zd2 + inner).all()
+    # A non-finite entry makes the sums non-finite; the entries are
+    # scanned only to tell that from overflow.
+    if not finite and not (np.isfinite(z).all() and np.isfinite(zdot).all()):
+        raise ValueError("non-finite entries in batch")
     if np.any(z2 == 0.0):
         raise ValueError("zero hyperradius")
     in_range = (z2 >= _NORMAL_MIN) & (z2 <= _NORMAL_MAX) & (

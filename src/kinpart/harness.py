@@ -10,7 +10,8 @@ Within a block, the draws are taken whole first (ensemble.draw_systems);
 then chunks of at most max(1, CHUNK_ENTRIES // (d * N)) systems go through
 the sampler's per-row geometry and the partition engine in index order.
 The chunks' terms are concatenated and StatAccumulator.from_block runs on
-the whole block, so no sum and no CSV byte depends on the chunk size.
+the whole block, one stack of rows for the expansion terms and one for the
+rest, so no sum and no CSV byte depends on the chunk size.
 
 Per (d, N, mode) the harness tracks the 19 energy terms plus the signed
 components and magnitudes of the three terms that can change sign:
@@ -85,21 +86,22 @@ class StatAccumulator:
     positives: int = 0
 
     @staticmethod
-    def from_block(values):
-        """Summary of a non-empty block of observations (two-pass)."""
-        values = np.asarray(values, dtype=float)
-        n = values.size
-        mean = float(np.sum(values)) / n
-        dev = values - mean
-        return StatAccumulator(
-            count=n,
-            mean=mean,
-            m2=float(np.sum(dev * dev)),
-            minimum=float(np.min(values)),
-            maximum=float(np.max(values)),
-            negatives=int(np.sum(values < 0.0)),
-            positives=int(np.sum(values > 0.0)),
-        )
+    def from_block(stack):
+        """Summaries of the rows of a (k, n) stack of observations, one
+        accumulator per row, each as the two-pass sums over that row alone;
+        empty ones if n is 0.  The rows are made contiguous, so numpy sums
+        each pairwise whatever the stack's layout."""
+        stack = np.ascontiguousarray(stack, dtype=float)
+        k, n = stack.shape
+        if n == 0:
+            return [StatAccumulator() for _ in range(k)]
+        means = np.sum(stack, axis=1) / n
+        dev = stack - means[:, None]
+        columns = zip(means.tolist(), np.sum(dev * dev, axis=1).tolist(),
+                      np.min(stack, axis=1).tolist(), np.max(stack, axis=1).tolist(),
+                      np.sum(stack < 0.0, axis=1).tolist(),
+                      np.sum(stack > 0.0, axis=1).tolist())
+        return [StatAccumulator(n, *row) for row in columns]
 
     def merge(self, other):
         """Fold another accumulator into this one."""
@@ -249,14 +251,14 @@ def _block_summary(d, N, mode, seed, block_index, count):
     res = {key: np.concatenate([chunk[key] for chunk in chunks])
            for key in chunks[0]}
     values = _derived_arrays(res)
-    keep = ~res["degenerate"]
     n_deg = int(np.sum(res["degenerate"]))
     out = {}
-    for term in TRACKED_TERMS:
-        arr = values[term]
-        if term in EXPANSION_TERMS and n_deg:
-            arr = arr[keep]
-        out[term] = StatAccumulator.from_block(arr) if arr.size else StatAccumulator()
+    for expansion in (False, True):
+        terms = [term for term in TRACKED_TERMS if (term in EXPANSION_TERMS) == expansion]
+        stack = np.stack([values[term] for term in terms])
+        if expansion and n_deg:
+            stack = stack[:, ~res["degenerate"]]
+        out.update(zip(terms, StatAccumulator.from_block(stack)))
     return n_deg, out
 
 

@@ -43,17 +43,22 @@ def _lane_sum(a, pairwise=True):
 
     np.add.reduce over the leading axis runs its inner loop along the
     lanes, so it adds rows in order.  With one lane numpy drops that axis
-    and would sum the leading one pairwise, so one lane is accumulated
-    instead.  The rows must not be the innermost axis in memory.
+    and sums the leading one pairwise, from +0.0, which is the pairwise
+    order in one call; an in-order sum of one lane is accumulated instead.
+    The rows must not be the innermost axis in memory.
     """
     n = len(a)
+    if pairwise and a.size == n:
+        return np.add.reduce(a, axis=0)
     if pairwise and n >= 8:
         if n > 128:
             half = n // 2 - n // 2 % 8
             return _lane_sum(a[:half]) + _lane_sum(a[half:])
         full = n - n % 8
         r = np.add.reduce(a[:full].reshape((full // 8, 8) + a.shape[1:]), axis=0)
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        total = r[0] + r[1]
         for row in a[full:]:
             total += row
         return total
@@ -79,47 +84,41 @@ def jacobi_orthogonalize(cols, norm2):
     so results are bit-identical whether systems are processed alone or
     together.  Raises RuntimeError if a system fails to converge.
     """
-    cols = np.array(cols, dtype=float, order="C")
-    m, _, nsys = cols.shape
-    v = np.zeros((m, m, nsys))
+    cols = np.asarray(cols, dtype=float)
+    m, length, nsys = cols.shape
+    # Row p holds column p of cols, then column p of V: one rotation turns both.
+    work = np.zeros((m, length + m, nsys))
+    work[:, :length] = cols
     idx = np.arange(m)
-    v[idx, idx] = 1.0
+    work[idx, length + idx] = 1.0
     if m < 2:
-        return cols, v
+        return work[:, :length], work[:, length:]
     cut2 = _COLUMN_FREEZE**2 * norm2
     for _ in range(_MAX_SWEEPS):
         rotated_any = False
         for p in range(m - 1):
             for q in range(p + 1, m):
-                x = cols[p]
-                y = cols[q]
-                alpha = _lane_sum(x * x)
-                beta = _lane_sum(y * y)
-                gamma = _lane_sum(x * y)
-                apply = (
-                    (np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta))
-                    & (alpha > cut2)
-                    & (beta > cut2)
-                )
-                if not bool(np.any(apply)):
+                x, y = work[p], work[q]
+                xc, yc = x[:length], y[:length]
+                alpha = _lane_sum(xc * xc)
+                beta = _lane_sum(yc * yc)
+                gamma = _lane_sum(xc * yc)
+                apply = ((np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta))
+                         & (np.minimum(alpha, beta) > cut2))
+                if not apply.any():
                     continue
                 rotated_any = True
-                gamma_safe = np.where(apply, gamma, 1.0)
-                zeta = (beta - alpha) / (2.0 * gamma_safe)
-                # zeta == 0 needs the full 45-degree rotation.
-                t = np.where(
-                    zeta == 0.0,
-                    1.0,
-                    np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)),
-                )
+                zeta = (beta - alpha) / (2.0 * np.where(apply, gamma, 1.0))
+                # zeta == +-0 needs the full 45-degree rotation, t = 1: + 0.0
+                # turns -0.0 into 0.0, whose sign is +.  A lane left alone
+                # gets t = 0, so c = 1 and s = 0 exactly.
+                t = np.where(apply, np.copysign(1.0, zeta + 0.0)
+                             / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)), 0.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = c * t
-                c = np.where(apply, c, 1.0)
-                s = np.where(apply, s, 0.0)
-                cols[p], cols[q] = c * x - s * y, s * x + c * y
-                v[p], v[q] = c * v[p] - s * v[q], s * v[p] + c * v[q]
+                work[p], work[q] = c * x - s * y, s * x + c * y
         if not rotated_any:
-            return cols, v
+            return work[:, :length], work[:, length:]
     raise RuntimeError(f"one-sided Jacobi failed to converge in {_MAX_SWEEPS} sweeps")
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import (
-    GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _lanes, _slab_sum, _thin_svd,
+    BATCH_FIELDS, GAP_TOL, TERMS, ZERO_TOL, _lanes, _slab_sum, _thin_svd,
     partition_batch,
 )
 from .linalg import _complete_orthonormal, sym_eigen
@@ -55,21 +55,23 @@ class SvdFactors:
 def svd(z):
     """Singular value decomposition with explicit full orthogonal factors.
 
-    The engine's thin SVD of z as a batch of one, its long-side factor
-    completed to an orthogonal matrix, then each column of D turned so its
-    largest-magnitude entry is positive; a turned column sigma < min(d, n)
-    turns column sigma of X too, and X's other columns follow the same
-    convention on their own.  Raises ValueError on input that is not a
-    non-empty, finite 2-d matrix.
+    The engine's thin SVD of z as a batch of one, taken on z rescaled by a
+    power of two, which is exact, so that any scale works; xi is scaled
+    back.  Its long-side factor is completed to an orthogonal matrix, then
+    each column of D is turned so its largest-magnitude entry is positive;
+    a turned column sigma < min(d, n) turns column sigma of X too, and X's
+    other columns follow the same convention on their own.  Raises
+    ValueError on input that is not a non-empty, finite 2-d matrix.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("matrix has non-finite entries")
-    lanes = _lanes(z[None])
+    _, exp = np.frexp(np.max(np.abs(z)))
+    lanes = _lanes(np.ldexp(z, -exp)[None])
     xi, dmat, xmat = _thin_svd(lanes, _slab_sum(lanes, lanes))
-    xi, dmat, xmat = xi[:, 0], dmat[:, :, 0].T, xmat[:, :, 0].T
+    xi, dmat, xmat = np.ldexp(xi[:, 0], exp), dmat[:, :, 0].T, xmat[:, :, 0].T
     if dmat.shape[1] < dmat.shape[0]:
         dmat = _complete_orthonormal(dmat)
     else:
@@ -156,17 +158,19 @@ def compute_partition(mass, z, zdot):
     # or overflow whatever the scale of the input.
     z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
     res = partition_batch(mass, z[None], zdot[None])
+    nterms = len(TERMS)
+    exps = np.where(np.arange(len(BATCH_FIELDS)) < nterms,
+                    2 * zdot_exp, 2 * (z_exp + zdot_exp))
     with np.errstate(over="ignore"):  # checked just below
-        terms = {name: float(np.ldexp(res[name][0], 2 * zdot_exp))
-                 for name in TERMS}
-        momenta = {name: float(np.ldexp(res[name][0], 2 * (z_exp + zdot_exp)))
-                   for name in MOMENTA}
-    if not np.all(np.isfinite(list(terms.values()))):
+        values = np.ldexp(np.concatenate([res[name] for name in BATCH_FIELDS]), exps)
+    finite = np.isfinite(values)
+    if not finite[:nterms].all():
         raise ValueError("energy beyond the double range")
+    values = values.tolist()
     return PartitionResult(
-        **terms, degenerate=bool(res["degenerate"][0]),
-        momenta=(MomentaResult(**momenta)
-                 if np.all(np.isfinite(list(momenta.values()))) else None))
+        **dict(zip(TERMS, values)), degenerate=bool(res["degenerate"][0]),
+        momenta=(MomentaResult(*values[nterms:])
+                 if finite[nterms:].all() else None))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from kinpart import StatAccumulator, run_experiment, run_single, substream, verify_report
+from kinpart import harness
 from kinpart.harness import (
-    RunReport, TermReport, ZERO_FLOOR, _block_summary, expected_values,
+    EXPANSION_TERMS, TRACKED_TERMS, RunReport, TermReport, ZERO_FLOOR,
+    _block_summary, _derived_arrays, expected_values, partition_batch,
     thread_count,
 )
 
@@ -22,7 +25,7 @@ def test_accumulator_single_updates_match_two_pass():
     values = rng.uniform(-1.0, 3.0, size=10_000)
     acc = StatAccumulator()
     for v in values:
-        acc.merge(StatAccumulator.from_block([v]))
+        acc.merge(StatAccumulator.from_block([[v]])[0])
     mean, m2 = two_pass_stats(values)
     assert abs(acc.mean - mean) <= 1e-9 * max(1.0, abs(mean))
     assert abs(acc.m2 - m2) <= 1e-9 * max(1.0, m2)
@@ -34,16 +37,16 @@ def test_accumulator_single_updates_match_two_pass():
 def test_accumulator_block_and_merge_associativity():
     rng = substream(5, 1)
     values = rng.standard_normal(9999)
-    whole = StatAccumulator.from_block(values)
+    whole = StatAccumulator.from_block([values])[0]
 
     # merge in two different groupings
     splits = [values[:1234], values[1234:5000], values[5000:]]
     left = StatAccumulator()
     for part in splits:
-        left.merge(StatAccumulator.from_block(part))
-    right = StatAccumulator.from_block(splits[1])
-    right.merge(StatAccumulator.from_block(splits[2]))
-    grouped = StatAccumulator.from_block(splits[0]).merge(right)
+        left.merge(StatAccumulator.from_block([part])[0])
+    right = StatAccumulator.from_block([splits[1]])[0]
+    right.merge(StatAccumulator.from_block([splits[2]])[0])
+    grouped = StatAccumulator.from_block([splits[0]])[0].merge(right)
 
     for acc in (left, grouped):
         assert acc.count == whole.count
@@ -55,7 +58,7 @@ def test_accumulator_block_and_merge_associativity():
 
 
 def test_accumulator_variance_and_stderr_definitions():
-    acc = StatAccumulator.from_block(np.array([1.0, 2.0, 3.0, 4.0]))
+    acc = StatAccumulator.from_block(np.array([[1.0, 2.0, 3.0, 4.0]]))[0]
     assert acc.variance_biased == acc.m2 / 4
     assert acc.stderr == math.sqrt(acc.variance_biased / 4)
 
@@ -64,8 +67,75 @@ def test_merge_empty_cases():
     acc = StatAccumulator()
     acc.merge(StatAccumulator())
     assert acc.count == 0
-    acc.merge(StatAccumulator.from_block([2.0]))
+    acc.merge(StatAccumulator.from_block([[2.0]])[0])
     assert acc.count == 1 and acc.mean == 2.0
+
+
+def parent_from_block(values):
+    """Two-pass summary of one row summed as a 1-d array: the reference
+    that each row of the stacked from_block must match bit for bit."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    mean = float(np.sum(values)) / n
+    dev = values - mean
+    return StatAccumulator(
+        count=n,
+        mean=mean,
+        m2=float(np.sum(dev * dev)),
+        minimum=float(np.min(values)),
+        maximum=float(np.max(values)),
+        negatives=int(np.sum(values < 0.0)),
+        positives=int(np.sum(values > 0.0)),
+    )
+
+
+def assert_bit_equal(got, want):
+    for field in fields(StatAccumulator):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        assert np.array(a).tobytes() == np.array(b).tobytes(), field.name
+
+
+@pytest.mark.parametrize("n", [1, 1024, 4096])
+def test_from_block_stack_matches_rows_alone(n):
+    rng = substream(5, 2, n)
+    stack = rng.standard_normal((27, n)) * 10.0 ** rng.uniform(-8, 8, (27, n))
+    stack[3] = np.abs(stack[3])
+    stack[5] = 0.0
+    got = StatAccumulator.from_block(stack)
+    assert len(got) == 27
+    for row, acc in zip(stack, got):
+        assert_bit_equal(acc, parent_from_block(row))
+    for acc, want in zip(StatAccumulator.from_block(np.asfortranarray(stack)), got):
+        assert_bit_equal(acc, want)
+    assert StatAccumulator.from_block(np.empty((9, 0))) == [StatAccumulator()] * 9
+
+
+@pytest.mark.parametrize("every", [0, 3, 1])
+def test_block_summary_matches_per_term_accumulators(monkeypatch, every):
+    # every = 1 flags every system degenerate, which empties the expansion
+    # group; 3 flags every third; 0 leaves the block as sampled.
+    results = []
+
+    def flagged(mass, z, zdot):
+        res = partition_batch(mass, z, zdot)
+        if every:
+            res["degenerate"][::every] = True
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(harness, "partition_batch", flagged)
+    n_deg, got = _block_summary(3, 5, "random", 2, 0, 1000)
+    (res,) = results
+    keep = ~res["degenerate"]
+    assert n_deg == int(np.sum(~keep))
+    assert set(got) == set(TRACKED_TERMS)
+    values = _derived_arrays(res)
+    for term in TRACKED_TERMS:
+        arr = values[term]
+        if term in EXPANSION_TERMS and n_deg:
+            arr = arr[keep]
+        assert_bit_equal(got[term], parent_from_block(arr) if arr.size else StatAccumulator())
 
 
 def test_run_single_identity_propagation():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,17 @@ def test_svd_at_tiny_scale():
     assert np.max(np.abs(xi_tiny * 1e100 - xi)) <= 1e-10 * xi[0]
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_svd_at_extreme_scales(scale):
+    rng = substream(1, 13)
+    z = rng.standard_normal((3, 5))
+    xi = svd(z).xi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        xi_s = svd(scale * z).xi
+    assert np.max(np.abs(xi_s / scale - xi)) <= 1e-12 * xi[0]
+
+
 def test_sym_eigen_identity():
     values, vectors = sym_eigen(np.eye(3))
     assert np.allclose(values, 1.0, atol=0)
@@ -236,3 +249,42 @@ def test_lane_sum_keeps_signed_zeros_as_numpy():
             got = _lane_sum(terms)
             assert got.tobytes() == np.sum(terms.T, axis=-1).tobytes()
             assert _lane_sum(terms, pairwise=False).tobytes() == np.zeros(lanes).tobytes()
+
+
+def parent_lane_sum(a, pairwise=True):
+    """numpy's pairwise order emulated with 8 partial sums, one lane or
+    many: the reference that _lane_sum's one-lane np.add.reduce must match
+    bit for bit."""
+    n = len(a)
+    if pairwise and n >= 8:
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return parent_lane_sum(a[:half]) + parent_lane_sum(a[half:])
+        full = n - n % 8
+        r = np.add.reduce(a[:full].reshape((full // 8, 8) + a.shape[1:]), axis=0)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in a[full:]:
+            total += row
+        return total
+    if a.shape[-1] == 1:
+        return np.add.accumulate(a, axis=0)[-1] + 0.0
+    return np.add.reduce(a, axis=0)
+
+
+def test_lane_sum_one_lane_matches_parent_formula():
+    # (n, 1) and (n, 1, 1) come from the slab sums, Jacobi and _thin_svd at
+    # m == 1, (n, K, 1) from _thin_svd at m == K; the swapped layout is the
+    # strided view _thin_svd sums.
+    rng = substream(1, 14)
+    for n in range(1, 301):
+        for k in (None, 1, 2, 3):
+            shape = (n, 1) if k is None else (n, k, 1)
+            terms = spread_terms(rng, shape)
+            zeros = np.full(shape, -0.0)
+            swapped = np.ascontiguousarray(terms.swapaxes(0, 1)).swapaxes(0, 1)
+            for a in (terms, zeros, swapped):
+                for pairwise in (True, False):
+                    want = parent_lane_sum(a, pairwise)
+                    got = _lane_sum(a, pairwise)
+                    assert got.shape == want.shape, (n, k, pairwise)
+                    assert got.tobytes() == want.tobytes(), (n, k, pairwise)

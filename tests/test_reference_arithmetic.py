@@ -18,7 +18,7 @@ from kinpart._batch import BATCH_FIELDS, _frame_rates, _lanes, _slab_sum, _thin_
 from kinpart.ensemble import (
     RANDOM_MASSES, TOTAL_MASS, _UNDERFLOW, _ball_points, _ball_size, _draw_ball,
 )
-from kinpart.linalg import _COLUMN_FREEZE, _JACOBI_TOL, _MAX_SWEEPS
+from kinpart.linalg import _COLUMN_FREEZE, _JACOBI_TOL, _MAX_SWEEPS, jacobi_orthogonalize
 
 DIMENSIONS = (1, 2, 3, 4)
 PARTICLES = (2, 3, 5, 17, 100)
@@ -170,6 +170,17 @@ def test_sampler_and_thin_svd_match_reference_bits(d, n_particles, mode):
         assert_same_bits(w.transpose(2, 0, 1), rw)
         assert_same_bits(rtail.T, rrtail)
         assert_same_bits(stail.T, rstail)
+
+
+def test_jacobi_exact_ties_match_reference_bits():
+    # Columns (3, 4) and (0, -+5) have alpha == beta, so zeta is -0.0 for
+    # gamma < 0 and +0.0 for gamma > 0; both take t = 1.
+    cols = np.array([[[3.0, 3.0], [4.0, 4.0]], [[0.0, 0.0], [-5.0, 5.0]]])
+    norm2 = np.full(2, 50.0)
+    rotated, v = jacobi_orthogonalize(cols, norm2)
+    want_rotated, want_v = reference_jacobi(cols.transpose(2, 1, 0), norm2)
+    assert_same_bits(rotated.transpose(2, 1, 0), want_rotated)
+    assert_same_bits(v.transpose(2, 1, 0), want_v)
 
 
 @pytest.mark.parametrize("n_particles", (3, 8, 17, 50))
