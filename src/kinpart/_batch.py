@@ -188,16 +188,16 @@ def partition_batch(mass, z, zdot):
     w, rtail, stail = _frame_rates(zdot, dmat, xmat)
 
     diag = np.arange(m)
-    xidot = w[diag, diag]
-    zero_abs = ZERO_TOL * xi[0]
-    pos = xi > zero_abs
-    # The normal space of the rotation orbit at Z holds the diagonal of W
-    # and, at a rank drop, the whole null block: W[s, t] with s != t both
+    pos = xi > ZERO_TOL * xi[0]
+    # One zero cut, as in svd_rates: a null singular value has no rate.  The
+    # normal space of the rotation orbit at Z holds the live diagonal of W
+    # and, at a rank drop, the whole null block: W[s, t] with s and t both
     # null, and the residual tails of the null rows and columns.
+    xidot = np.where(pos, w[diag, diag], 0.0)
     normal = _lane_sum(xidot * xidot)
     if not np.all(pos):
         null = ~pos
-        block = null[:, None] & null[None, :] & ~np.eye(m, dtype=bool)[:, :, None]
+        block = null[:, None] & null[None, :]
         normal += (_lane_sum(np.where(block, w * w, 0.0).reshape(m * m, nsys))
                    + _lane_sum(np.where(null, rtail + stail, 0.0)))
     t_inert = 0.5 * mass * normal

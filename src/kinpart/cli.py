@@ -11,8 +11,8 @@ All numeric output uses shortest round-trip decimals, so parsing a written
 CSV reproduces every value exactly, and rerunning a configuration yields a
 byte-identical file.  The simulate header records the flags plus the fixed
 solve tolerances gap_tol and zero_tol, so a header is enough to rerun it.
-Worker thread count comes from the KINPART_THREADS environment variable
-(a positive integer; 1 if unset); everything else is a flag.
+The number of forked worker processes comes from the KINPART_THREADS
+environment variable (a positive integer; 1 if unset); the rest are flags.
 """
 
 import argparse

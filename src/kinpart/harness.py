@@ -4,7 +4,9 @@ and compare the means against the closed-form values.
 Sampling is split into fixed-size blocks; block index b of a run keys the
 random substream (seed, mode, d, N, b), and block summaries are merged in
 index order.  Results are therefore byte-reproducible for a given seed and
-configuration no matter how many worker threads process the blocks.
+configuration no matter how many workers process the blocks.  They run
+largest N first, in this process with one worker or one job, else on one
+pool of min(KINPART_THREADS, jobs, usable CPUs) forked worker processes.
 
 Within a block, the draws are taken whole first (ensemble.draw_systems);
 then chunks of at most max(1, CHUNK_ENTRIES // (d * N)) systems go through
@@ -22,7 +24,6 @@ only; the exclusion count is reported.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,12 +206,17 @@ def expected_values(d, N, mode):
 
 
 def thread_count():
-    """Worker threads for block processing: KINPART_THREADS, 1 if unset or
+    """Worker processes for block processing: KINPART_THREADS, 1 if unset or
     empty.  Raises ValueError unless it is a positive integer."""
     raw = os.environ.get(THREADS_ENV) or "1"
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def _usable_cpus():
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _block_counts(samples):
@@ -264,23 +270,37 @@ def _block_summary(d, N, mode, seed, block_index, count):
 
 def run_single(d, N, mode, samples, seed):
     """One (d, N, mode) experiment: samples systems, returns a RunReport."""
+    return run_experiment(d, N, N, samples, mode, seed)[0]
+
+
+def run_experiment(d, n_min, n_max, samples, mode, seed):
+    """RunReports for every N in [n_min, n_max]; workers need fork."""
+    if n_min < 2 or n_max < n_min:
+        raise ValueError(f"invalid particle range [{n_min}, {n_max}]")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if mode not in MASS_MODES:
         raise ValueError(f"unknown mass mode {mode!r}")
     counts = _block_counts(samples)
-    workers = thread_count()
-
-    def job(args):
-        return _block_summary(d, N, mode, seed, *args)
-
-    jobs = list(enumerate(counts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(job, jobs))
+    ns = range(n_max, n_min - 1, -1)
+    jobs = zip(*[(d, N, mode, seed, b, c) for N in ns for b, c in enumerate(counts)])
+    workers = min(thread_count(), len(ns) * len(counts), _usable_cpus())
+    if workers == 1:
+        summaries = list(map(_block_summary, *jobs))
     else:
-        summaries = [job(item) for item in jobs]
+        from concurrent.futures.process import ProcessPoolExecutor
+        from multiprocessing import get_all_start_methods, get_context
+        if "fork" not in get_all_start_methods():
+            raise ValueError(f"{THREADS_ENV} > 1 needs the fork start method, "
+                             "which this platform lacks")
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            summaries = list(pool.map(_block_summary, *jobs))
+    k = len(counts)
+    return [_report(d, N, mode, samples, seed, summaries[i * k:(i + 1) * k])
+            for i, N in enumerate(ns)][::-1]
 
+
+def _report(d, N, mode, samples, seed, summaries):
     accum = {term: StatAccumulator() for term in TRACKED_TERMS}
     degenerate_count = 0
     for n_deg, block in summaries:  # merged in block-index order
@@ -320,14 +340,6 @@ def run_single(d, N, mode, samples, seed):
         x_abscissa=0.5 - 1.0 / nu, degenerate_count=degenerate_count,
         terms=terms,
     )
-
-
-def run_experiment(d, n_min, n_max, samples, mode, seed):
-    """RunReports for every N in [n_min, n_max]."""
-    if n_min < 2 or n_max < n_min:
-        raise ValueError(f"invalid particle range [{n_min}, {n_max}]")
-    return [run_single(d, N, mode, samples, seed)
-            for N in range(n_min, n_max + 1)]
 
 
 def _discrepancy(mean, stderr, expected, N):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -216,14 +219,48 @@ def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
 
 
 def test_simulate_thread_env_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    out_a = str(tmp_path / "a.csv")
-    out_b = str(tmp_path / "b.csv")
-    monkeypatch.setenv("KINPART_THREADS", "1")
-    assert run_cli(capsys, *simulate_args(out_a))[0] == 0
-    monkeypatch.setenv("KINPART_THREADS", "3")
-    assert run_cli(capsys, *simulate_args(out_b))[0] == 0
-    with open(out_a, "rb") as fa, open(out_b, "rb") as fb:
-        assert fa.read() == fb.read()
+    # N = 3..5 at 9000 samples: 9 jobs of 4096, 4096 and 808 systems, on
+    # one, two and three worker processes.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    for masses in ("equal", "random"):
+        outputs = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("KINPART_THREADS", workers)
+            out = tmp_path / f"{masses}{workers}.csv"
+            assert run_cli(capsys, "simulate", "--d", "2", "--n-min", "3", "--n-max", "5",
+                           "--samples", "9000", "--masses", masses, "--seed", "6",
+                           "--out", str(out))[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_simulate_reports_a_worker_error_on_one_line(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    real = harness.partition_batch
+
+    def fail_in_worker(mass, z, zdot):
+        if os.getpid() != parent:
+            raise ValueError("non-finite entries in batch")
+        return real(mass, z, zdot)
+
+    monkeypatch.setattr(harness, "partition_batch", fail_in_worker)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("KINPART_THREADS", "2")
+    out = tmp_path / "run.csv"
+    code, stdout, err = run_cli(capsys, *simulate_args(str(out)))
+    assert code == 2 and stdout == ""
+    assert err == "error: non-finite entries in batch\n"
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_process_module():
+    # The pool's modules are imported only when a run starts one.
+    probe = ("import sys, kinpart.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-2"])

@@ -1,4 +1,7 @@
+import concurrent.futures.process
 import math
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import fields
 
@@ -209,6 +212,78 @@ def test_thread_count_does_not_change_results(monkeypatch):
         assert tr.mean == other.mean
         assert tr.variance_biased == other.variance_biased
         assert tr.minimum == other.minimum and tr.maximum == other.maximum
+
+
+def test_run_single_is_run_experiment_at_one_n(monkeypatch):
+    # Three blocks, the last one partial, on two worker processes.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("KINPART_THREADS", "2")
+    single = run_single(2, 4, "random", 9000, seed=5)
+    pooled = run_experiment(2, 3, 5, 9000, "random", seed=5)[1]
+    monkeypatch.setenv("KINPART_THREADS", "1")
+    alone = run_experiment(2, 4, 4, 9000, "random", seed=5)[0]
+    for other in (pooled, alone):
+        for field in fields(RunReport):
+            assert repr(getattr(single, field.name)) == repr(getattr(other, field.name))
+
+
+class StubPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context=None):
+        assert mp_context.get_start_method() == "fork"
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, *iterables):
+        return map(func, *iterables)
+
+
+def test_pool_size_is_capped_by_jobs_and_cpus(monkeypatch):
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(StubPool, "sizes", [])
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
+    monkeypatch.setenv("KINPART_THREADS", "2")
+    run_single(2, 3, "equal", 4096, seed=1)  # one block: no pool
+    monkeypatch.setenv("KINPART_THREADS", "64")
+    run_experiment(2, 3, 5, 100, "equal", seed=1)  # three jobs
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    run_experiment(2, 3, 5, 100, "equal", seed=1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    run_experiment(2, 3, 5, 100, "equal", seed=1)  # one CPU: no pool
+    assert StubPool.sizes == [3, 2]
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    parent = os.getpid()
+
+    def fail_in_worker(mass, z, zdot):
+        if os.getpid() != parent:
+            raise RuntimeError("one-sided Jacobi failed to converge in 60 sweeps")
+        return partition_batch(mass, z, zdot)
+
+    monkeypatch.setattr(harness, "partition_batch", fail_in_worker)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("KINPART_THREADS", "2")
+    with pytest.raises(RuntimeError, match="^one-sided Jacobi failed to converge in 60 sweeps$"):
+        run_experiment(2, 3, 4, 100, "equal", seed=1)
+
+
+def test_pool_refused_without_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("KINPART_THREADS", "2")
+    with pytest.raises(ValueError, match="KINPART_THREADS > 1 needs the fork start method"):
+        run_experiment(2, 3, 4, 100, "equal", seed=1)
+    monkeypatch.setenv("KINPART_THREADS", "1")
+    assert len(run_experiment(2, 3, 4, 100, "equal", seed=1)) == 2
 
 
 def test_thread_count_reads_a_positive_integer(monkeypatch):

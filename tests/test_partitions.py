@@ -64,6 +64,28 @@ def test_svd_rates_near_rank_drop_match_engine():
             assert rel_gap(direct.L2, engine.L2) <= 1e-10
 
 
+@pytest.mark.parametrize("e", [1e-11, 1e-13, 1e-16])
+@pytest.mark.parametrize("shape", ["square", "rectangular"])
+def test_one_zero_cut_for_rates_and_normal_block(shape, e):
+    # xi_2 / xi_1 = e straddles ZERO_TOL = 1e-12: at 1e-11 the second
+    # singular value is live, at 1e-13 and 1e-16 it is null.  A null value
+    # has no rate, so L2 and T_xi must follow svd_rates' cut, while T_I
+    # keeps W[2, 2]^2 (and the null row's tail 0.2^2) in the null block.
+    if shape == "square":
+        z, zdot = np.diag([1.0, e]), np.diag([0.0, 1.0])
+        t_inert, t_rot = 1.0, 0.0
+    else:
+        z = np.array([[1.0, 0.0, 0.0], [0.0, e, 0.0]])
+        zdot = np.array([[0.0, 0.0, 0.3], [0.0, 1.0, 0.2]])
+        t_inert, t_rot = (1.0, 0.13) if e > ZERO_TOL else (1.04, 0.09)
+    part = compute_partition(MASS, z, zdot)
+    direct = momenta_direct(MASS, z, zdot, *svd_rates(z, zdot))
+    assert abs(part.momenta.L2 - direct.L2) <= 1e-10
+    assert abs(part.T_xi - direct.L2 / (2.0 * MASS * np.sum(z * z))) <= 1e-10
+    assert part.momenta.L2 == (4.0 if e > ZERO_TOL else 0.0)
+    assert abs(part.T_I - t_inert) <= 1e-12 and abs(part.T_rot - t_rot) <= 1e-12
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_svd_rates_at_extreme_scales(scale):
     rng = substream(3, 15)
