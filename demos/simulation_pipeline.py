@@ -12,14 +12,14 @@ but driven through the library API, with a peek at the CSV contents.
 import os
 import tempfile
 
-from kinpart import run_experiment, verify_report
+from kinpart import report_rows, run_experiment, verify_report
 from kinpart.cli import read_reports_csv, write_reports_csv
 
 
 def main():
     reports = run_experiment(2, 3, 8, 20_000, "equal", seed=11)
 
-    checks, summary = verify_report(reports, sigma_threshold=4.0)
+    checks, summary = verify_report(report_rows(reports), sigma_threshold=4.0)
     print(f"{summary['checks']} checks, {summary['failures']} failures")
     print(f"max |mean - formula|  = {summary['max_abs_diff']:.3e}")
     print(f"max sigma ratio       = {summary['max_sigma_ratio']:.3f}")

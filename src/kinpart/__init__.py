@@ -16,8 +16,8 @@ from .expectations import (
     random_mass_fit, residual_magnitude_approx,
 )
 from .harness import (
-    StatAccumulator, TermReport, RunReport, run_experiment, run_single,
-    verify_report,
+    StatAccumulator, TermReport, RunReport, report_rows, run_experiment,
+    run_single, verify_report,
 )
 from .linalg import random_orthogonal, sym_eigen
 from .momenta import MomentaResult, momenta_direct, momenta_fast
@@ -35,7 +35,8 @@ __all__ = [
     "compute_partition", "conjecture_means", "conjecture_means_exact",
     "eigenvector_split_oracle", "kinematic_reduction_frame",
     "momenta_direct", "momenta_fast", "partition_batch", "project_oracle",
-    "random_mass_fit", "random_orthogonal", "residual_magnitude_approx",
-    "run_experiment", "run_single", "sample_system", "sample_system_block",
-    "substream", "svd", "svd_rates", "sym_eigen", "verify_report",
+    "random_mass_fit", "random_orthogonal", "report_rows",
+    "residual_magnitude_approx", "run_experiment", "run_single",
+    "sample_system", "sample_system_block", "substream", "svd", "svd_rates",
+    "sym_eigen", "verify_report",
 ]

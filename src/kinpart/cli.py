@@ -11,6 +11,8 @@ All numeric output uses shortest round-trip decimals, so parsing a written
 CSV reproduces every value exactly, and rerunning a configuration yields a
 byte-identical file.  The simulate header records the flags plus the fixed
 solve tolerances gap_tol and zero_tol, so a header is enough to rerun it.
+The rows follow harness.CSV_COLUMNS (harness.report_rows), and verify hands
+the rows it reads straight to harness.verify_report.
 The number of forked worker processes comes from the KINPART_THREADS
 environment variable (a positive integer; 1 if unset); the rest are flags.
 """
@@ -24,24 +26,20 @@ import numpy as np
 
 from ._batch import GAP_TOL, MOMENTA, ZERO_TOL
 from .ensemble import MASS_MODES, TOTAL_MASS, sample_system_block, substream
-from .harness import (
-    TRACKED_TERMS, RunReport, TermReport, run_experiment, verify_report,
-)
+from .harness import CSV_COLUMNS, report_rows, run_experiment, verify_report
 from .momenta import momenta_direct
 from .partitions import (
     compute_partition, eigenvector_split_oracle, project_oracle, svd_rates,
 )
 
 CSV_FORMAT = "kinpart-simulate-csv/1"
-CSV_COLUMNS = (
-    "d", "N", "x_abscissa", "mass_mode", "term", "count", "mean",
-    "variance_biased", "stderr", "min", "max", "expected", "abs_diff",
-    "weighted_diff", "sigma_ratio", "fraction_negative",
-    "fraction_positive", "degenerate_excluded", "seed",
-)
 
 ORACLE_MAX_D = 5
 ORACLE_MAX_N = 8
+# Terms oracle-check compares with project_oracle and with
+# eigenvector_split_oracle; the momenta go against momenta_direct.
+_PROJECTED = ("T_ext", "T_int", "T_rot", "E_out", "E_in")
+_SPLIT = ("E_outA", "E_outB", "E_inA", "E_inB")
 
 
 def _fmt(value):
@@ -95,19 +93,9 @@ def cmd_partition(args):
 
 
 def write_reports_csv(path, reports, config):
-    lines = [f"# {CSV_FORMAT} config={json.dumps(config, sort_keys=True)}"]
-    lines.append(",".join(CSV_COLUMNS))
-    for rep in reports:
-        for term in TRACKED_TERMS:
-            tr = rep.terms[term]
-            row = (
-                rep.d, rep.N, rep.x_abscissa, rep.mode, term, tr.count,
-                tr.mean, tr.variance_biased, tr.stderr, tr.minimum,
-                tr.maximum, tr.expected, tr.abs_diff, tr.weighted_diff,
-                tr.sigma_ratio, tr.fraction_negative, tr.fraction_positive,
-                tr.degenerate_excluded, rep.seed,
-            )
-            lines.append(",".join(_fmt(v) for v in row))
+    lines = [f"# {CSV_FORMAT} config={json.dumps(config, sort_keys=True)}",
+             ",".join(CSV_COLUMNS)]
+    lines += [",".join(map(_fmt, row.values())) for row in report_rows(reports)]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -119,8 +107,9 @@ def read_reports_csv(path):
     if not lines or not lines[0].startswith(f"# {CSV_FORMAT} config="):
         raise ValueError(f"{path} is not a {CSV_FORMAT} file")
     config = json.loads(lines[0].split("config=", 1)[1])
-    header = lines[1].split(",")
-    if tuple(header) != CSV_COLUMNS:
+    if len(lines) < 2:
+        raise ValueError(f"{path} has no column header")
+    if tuple(lines[1].split(",")) != CSV_COLUMNS:
         raise ValueError(f"unexpected column header in {path}")
     ints = {"d", "N", "count", "degenerate_excluded", "seed"}
     strings = {"mass_mode", "term"}
@@ -161,37 +150,10 @@ def cmd_simulate(args):
     return 0
 
 
-def reports_from_rows(rows):
-    """RunReports, one per (d, N, mass mode), from parsed simulate rows."""
-    groups = {}
-    for row in rows:
-        groups.setdefault((row["d"], row["N"], row["mass_mode"]), []).append(row)
-    reports = []
-    for (d, n, mode), group in groups.items():
-        terms = {row["term"]: TermReport(
-            term=row["term"], count=row["count"], mean=row["mean"],
-            variance_biased=row["variance_biased"],
-            stderr=row["stderr"], minimum=row["min"], maximum=row["max"],
-            expected=row["expected"], abs_diff=row["abs_diff"],
-            weighted_diff=row["weighted_diff"], sigma_ratio=row["sigma_ratio"],
-            fraction_negative=row["fraction_negative"],
-            fraction_positive=row["fraction_positive"],
-            degenerate_excluded=row["degenerate_excluded"],
-        ) for row in group}
-        reports.append(RunReport(
-            d=d, N=n, mode=mode, seed=group[0]["seed"],
-            samples=max(t.count for t in terms.values()),
-            x_abscissa=group[0]["x_abscissa"],
-            degenerate_count=max(t.degenerate_excluded for t in terms.values()),
-            terms=terms,
-        ))
-    return reports
-
-
 def cmd_verify(args):
     _, rows = read_reports_csv(args.input)
     # Each row is checked against the CSV's own expected column.
-    checks, summary = verify_report(reports_from_rows(rows), args.sigma)
+    checks, summary = verify_report(rows, args.sigma)
     if not checks:
         print("no checkable rows (no expected values present)")
         return 1
@@ -215,11 +177,9 @@ def cmd_oracle_check(args):
     if args.d > ORACLE_MAX_D or args.n > ORACLE_MAX_N:
         raise ValueError(
             f"oracle-check is limited to d <= {ORACLE_MAX_D}, N <= {ORACLE_MAX_N}")
-    worst = {
-        "T_ext": 0.0, "T_int": 0.0, "T_rot": 0.0, "E_out": 0.0, "E_in": 0.0,
-        "J2": 0.0, "K2": 0.0, "Lambda2": 0.0, "L2": 0.0,
-        "E_outA": 0.0, "E_outB": 0.0, "E_inA": 0.0, "E_inB": 0.0,
-    }
+    if args.samples < 1:
+        raise ValueError("oracle-check needs --samples >= 1")
+    worst = dict.fromkeys(_PROJECTED + MOMENTA + _SPLIT, 0.0)
     skipped = 0
     for index in range(args.samples):
         mode = MASS_MODES[index % 2]
@@ -231,20 +191,15 @@ def cmd_oracle_check(args):
             skipped += 1
             continue
         oracle = project_oracle(TOTAL_MASS, z, zdot)
-        for name, fast in (("T_ext", part.T_ext), ("T_int", part.T_int),
-                           ("T_rot", part.T_rot), ("E_out", part.E_out),
-                           ("E_in", part.E_in)):
-            worst[name] = max(worst[name], _relative_gap(fast, getattr(oracle, name)))
         direct = momenta_direct(TOTAL_MASS, z, zdot, *svd_rates(z, zdot))
-        for name in ("J2", "K2", "Lambda2", "L2"):
-            worst[name] = max(
-                worst[name],
-                _relative_gap(getattr(direct, name), getattr(part.momenta, name)))
-        eig = eigenvector_split_oracle(TOTAL_MASS, z, zdot)
-        for name, fast_val, oracle_val in (
-                ("E_outA", part.E_outA, eig[0]), ("E_outB", part.E_outB, eig[1]),
-                ("E_inA", part.E_inA, eig[2]), ("E_inB", part.E_inB, eig[3])):
-            worst[name] = max(worst[name], _relative_gap(fast_val, oracle_val))
+        # (name, engine value, oracle value)
+        table = [(name, getattr(part, name), getattr(oracle, name)) for name in _PROJECTED]
+        table += [(name, getattr(part.momenta, name), getattr(direct, name))
+                  for name in MOMENTA]
+        table += zip(_SPLIT, (getattr(part, name) for name in _SPLIT),
+                     eigenvector_split_oracle(TOTAL_MASS, z, zdot))
+        for name, fast, slow in table:
+            worst[name] = max(worst[name], _relative_gap(fast, slow))
     tol = 1e-8
     ok = all(v <= tol for v in worst.values())
     for name, value in worst.items():

@@ -20,6 +20,10 @@ components and magnitudes of the three terms that can change sign:
 T_res, T_ac (negative fraction) and E_c (positive fraction).  Systems
 flagged degenerate are excluded from the singular-expansion statistics
 only; the exclusion count is reported.
+
+Each term of a run is one row keyed by CSV_COLUMNS (report_rows), the
+layout the simulate CSV writes and reads back; verify_report checks such
+rows, so a run in memory and its CSV are verified by the same code.
 """
 
 import math
@@ -137,6 +141,16 @@ class StatAccumulator:
         return math.sqrt(self.variance_biased / self.count) if self.count else math.nan
 
 
+# One CSV row per (d, N, mode, term): columns 4..17 are TermReport's fields
+# in order, with minimum/maximum written as min/max.
+CSV_COLUMNS = (
+    "d", "N", "x_abscissa", "mass_mode", "term", "count", "mean",
+    "variance_biased", "stderr", "min", "max", "expected", "abs_diff",
+    "weighted_diff", "sigma_ratio", "fraction_negative",
+    "fraction_positive", "degenerate_excluded", "seed",
+)
+
+
 @dataclass(frozen=True)
 class TermReport:
     """Summary statistics of one term in one (d, N, mode) run."""
@@ -169,6 +183,15 @@ class RunReport:
     x_abscissa: float
     degenerate_count: int
     terms: dict
+
+
+def report_rows(reports):
+    """Each term of each RunReport as a dict keyed by CSV_COLUMNS, in the
+    order the CSV lists them."""
+    for rep in reports:
+        for tr in rep.terms.values():
+            yield dict(zip(CSV_COLUMNS, (rep.d, rep.N, rep.x_abscissa, rep.mode,
+                                         *vars(tr).values(), rep.seed)))
 
 
 @dataclass(frozen=True)
@@ -309,37 +332,19 @@ def _report(d, N, mode, samples, seed, summaries):
             accum[term].merge(block[term])
 
     expected = expected_values(d, N, mode)
-    nu = N - 1
     terms = {}
     for term in TRACKED_TERMS:
         acc = accum[term]
         exp = expected.get(term)
-        abs_diff, weighted, ratio = (
-            (None, None, None) if exp is None
-            else _discrepancy(acc.mean, acc.stderr, exp, N))
+        diffs = (None,) * 3 if exp is None else _discrepancy(acc.mean, acc.stderr, exp, N)
         terms[term] = TermReport(
-            term=term,
-            count=acc.count,
-            mean=acc.mean,
-            variance_biased=acc.variance_biased,
-            stderr=acc.stderr,
-            minimum=acc.minimum,
-            maximum=acc.maximum,
-            expected=exp,
-            abs_diff=abs_diff,
-            weighted_diff=weighted,
-            sigma_ratio=ratio,
-            fraction_negative=(acc.negatives / acc.count
-                               if term in NEGATIVE_FRACTION_TERMS else None),
-            fraction_positive=(acc.positives / acc.count
-                               if term in POSITIVE_FRACTION_TERMS else None),
-            degenerate_excluded=(degenerate_count if term in EXPANSION_TERMS else 0),
-        )
-    return RunReport(
-        d=d, N=N, mode=mode, seed=seed, samples=samples,
-        x_abscissa=0.5 - 1.0 / nu, degenerate_count=degenerate_count,
-        terms=terms,
-    )
+            term, acc.count, acc.mean, acc.variance_biased, acc.stderr,
+            acc.minimum, acc.maximum, exp, *diffs,
+            acc.negatives / acc.count if term in NEGATIVE_FRACTION_TERMS else None,
+            acc.positives / acc.count if term in POSITIVE_FRACTION_TERMS else None,
+            degenerate_count if term in EXPANSION_TERMS else 0)
+    return RunReport(d, N, mode, seed, samples, 0.5 - 1.0 / (N - 1),
+                     degenerate_count, terms)
 
 
 def _discrepancy(mean, stderr, expected, N):
@@ -352,52 +357,37 @@ def _discrepancy(mean, stderr, expected, N):
     return abs_diff, 2.0 * (N - 1) * abs_diff, ratio
 
 
-def _mean_check(report, tr, sigma_threshold):
-    abs_diff, weighted, ratio = _discrepancy(tr.mean, tr.stderr, tr.expected, report.N)
-    passed = abs_diff <= ZERO_FLOOR or ratio <= sigma_threshold
-    return Check(
-        N=report.N, mode=report.mode, term=tr.term, kind="mean",
-        expected=tr.expected, observed=tr.mean, abs_diff=abs_diff,
-        weighted_diff=weighted, sigma_ratio=ratio, passed=passed,
-    )
+def _check(row, kind, observed, stderr, expected, sigma_threshold):
+    abs_diff, weighted, ratio = _discrepancy(observed, stderr, expected, row["N"])
+    return Check(row["N"], row["mass_mode"], row["term"], kind, expected, observed,
+                 abs_diff, weighted, ratio,
+                 abs_diff <= ZERO_FLOOR or ratio <= sigma_threshold)
 
 
-def _sign_check(report, sigma_threshold):
-    tr = report.terms["T_res"]
-    observed = tr.fraction_negative
-    sigma_binomial = 0.5 / math.sqrt(tr.count)
-    diff = abs(observed - 0.5)
-    ratio = diff / sigma_binomial
-    return Check(
-        N=report.N, mode=report.mode, term="T_res", kind="sign",
-        expected=0.5, observed=observed, abs_diff=diff,
-        weighted_diff=2.0 * (report.N - 1) * diff, sigma_ratio=ratio,
-        passed=ratio <= sigma_threshold,
-    )
+def verify_report(rows, sigma_threshold=4.0):
+    """Compare the CSV rows of a run (read_reports_csv's, or report_rows of
+    RunReports) against the closed-form values.
 
-
-def verify_report(reports, sigma_threshold=4.0):
-    """Compare run means against the closed-form values.
-
-    Every TermReport that carries an expected value gets a mean check at
-    the given sigma threshold; the residual energy additionally gets a
-    binomial check that it is negative for half of the systems (d >= 2 and
-    N >= 3 only; in the other cases the residual vanishes identically and
-    its sign is roundoff noise).  Returns (checks, summary) where the
-    summary aggregates abs_diff / weighted_diff / sigma_ratio over the mean
-    checks, mirroring how batches of such comparisons are usually quoted.
+    Every row that carries an expected value gets a mean check at the given
+    sigma threshold; the residual energy additionally gets a binomial check
+    that it is negative for half of the systems (d >= 2 and N >= 3 only; in
+    the other cases the residual vanishes identically and its sign is
+    roundoff noise).  Either check passes outright when |diff| <= ZERO_FLOOR.
+    Returns (checks, summary) where the summary aggregates abs_diff /
+    weighted_diff / sigma_ratio over the mean checks, mirroring how batches
+    of such comparisons are usually quoted.
     """
+    if not (math.isfinite(sigma_threshold) and sigma_threshold > 0.0):
+        raise ValueError(f"sigma threshold must be finite and > 0, got {sigma_threshold!r}")
     checks = []
-    for report in reports:
-        for term, tr in report.terms.items():
-            if tr.expected is None:
-                continue
-            checks.append(_mean_check(report, tr, sigma_threshold))
-            # The sign of the residual is only distributed for d >= 2 and
-            # N >= 3; on the line and for two particles it vanishes
-            # identically.
-            if term == "T_res" and report.d >= 2 and report.N >= 3:
-                checks.append(_sign_check(report, sigma_threshold))
+    for row in rows:
+        if row["expected"] is None:
+            continue
+        checks.append(_check(row, "mean", row["mean"], row["stderr"], row["expected"],
+                             sigma_threshold))
+        if row["term"] == "T_res" and row["d"] >= 2 and row["N"] >= 3:
+            checks.append(_check(row, "sign", row["fraction_negative"],
+                                 0.5 / math.sqrt(row["count"]), 0.5, sigma_threshold))
     mean_checks = [c for c in checks if c.kind == "mean"]
     summary = {
         "checks": len(checks),

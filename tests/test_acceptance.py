@@ -36,7 +36,7 @@ def announce(num, passed, text):
 
 
 def mean_checks(rep):
-    checks, _ = kp.verify_report([rep], sigma_threshold=SIGMA)
+    checks, _ = kp.verify_report(kp.report_rows([rep]), sigma_threshold=SIGMA)
     return [c for c in checks if c.kind == "mean"]
 
 

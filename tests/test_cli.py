@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from kinpart import harness
-from kinpart.cli import main, read_reports_csv
+from kinpart import harness, report_rows, run_experiment, verify_report
+from kinpart.cli import main, read_reports_csv, write_reports_csv
 
 # Unit separation: after mass scaling by (m/M)^(1/2) = 2^(-1/2) the position
 # matrix has unit Frobenius norm, so rho = T = 1 and the right angle between
@@ -398,6 +398,40 @@ def test_verify_rejects_malformed_csv(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_verify_rejects_a_csv_without_column_header(tmp_path, capsys):
+    path = tmp_path / "truncated.csv"
+    path.write_text("# kinpart-simulate-csv/1 config={}\n")
+    with pytest.raises(ValueError, match="no column header"):
+        read_reports_csv(str(path))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sigma", ["nan", "-1", "inf", "0"])
+def test_verify_refuses_invalid_sigma(tmp_path, capsys, sigma):
+    out = str(tmp_path / "run.csv")
+    run_cli(capsys, *simulate_args(out))
+    code, stdout, err = run_cli(capsys, "verify", "--input", out, "--sigma", sigma)
+    assert (code, stdout) == (2, "")
+    assert "sigma threshold must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("d, n_max, masses", [
+    (1, 4, "equal"), (2, 4, "equal"), (2, 4, "random"), (3, 4, "random")])
+def test_verify_on_csv_rows_matches_in_memory(tmp_path, d, n_max, masses):
+    # N = 2 and d = 1 have no sign check; both mass modes are covered.
+    reports = run_experiment(d, 2, n_max, 3000, masses, seed=17)
+    path = str(tmp_path / "run.csv")
+    write_reports_csv(path, reports, {"seed": 17})
+    for sigma in (1.0, 4.0):
+        from_csv = verify_report(read_reports_csv(path)[1], sigma)
+        in_memory = verify_report(report_rows(reports), sigma)
+        assert repr(from_csv) == repr(in_memory)
+    signs = {(c.N, c.mode) for c in from_csv[0] if c.kind == "sign"}
+    assert signs == ({(n, masses) for n in range(3, n_max + 1)} if d >= 2 else set())
+
+
 def test_oracle_check_passes(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "oracle-check", "--d", "2", "--n", "4",
                               "--samples", "40", "--seed", "1")
@@ -412,6 +446,14 @@ def test_oracle_check_trivial_dimensions(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "oracle-check", "--d", "1", "--n", "3",
                               "--samples", "20", "--seed", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_oracle_check_refuses_no_samples(capsys, samples):
+    code, stdout, err = run_cli(capsys, "oracle-check", "--d", "2", "--n", "3",
+                                "--samples", samples, "--seed", "1")
+    assert (code, stdout) == (2, "")
+    assert "--samples >= 1" in err
 
 
 def test_oracle_check_range_enforced(capsys):

@@ -8,10 +8,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kinpart import StatAccumulator, run_experiment, run_single, substream, verify_report
+from kinpart import (
+    StatAccumulator, report_rows, run_experiment, run_single, substream, verify_report,
+)
 from kinpart import harness
 from kinpart.harness import (
-    EXPANSION_TERMS, TRACKED_TERMS, RunReport, TermReport, ZERO_FLOOR,
+    CSV_COLUMNS, EXPANSION_TERMS, TRACKED_TERMS, RunReport, TermReport, ZERO_FLOOR,
     _block_summary, _derived_arrays, expected_values, partition_batch,
     thread_count,
 )
@@ -328,7 +330,7 @@ def synthetic_report(d, n_particles, mode):
 def test_verify_exact_self_test():
     # synthetic accumulators sitting exactly on the formulas all pass
     reports = [synthetic_report(2, 4, "equal"), synthetic_report(3, 6, "equal")]
-    checks, summary = verify_report(reports)
+    checks, summary = verify_report(report_rows(reports))
     assert summary["failures"] == 0
     assert all(c.sigma_ratio == 0.0 for c in checks if c.kind == "mean")
     assert summary["max_sigma_ratio"] == 0.0
@@ -342,7 +344,7 @@ def test_verify_detects_shifted_mean():
         variance_biased=bad.variance_biased, stderr=bad.stderr,
         minimum=bad.minimum, maximum=bad.maximum, expected=bad.expected,
     )
-    checks, summary = verify_report([report])
+    checks, summary = verify_report(report_rows([report]))
     assert summary["failures"] == 1
     failed = [c for c in checks if not c.passed]
     assert failed[0].term == "T_rot" and failed[0].sigma_ratio > 4.0
@@ -350,7 +352,7 @@ def test_verify_detects_shifted_mean():
 
 def test_verify_random_mode_checks_only_residual_terms():
     rep = run_single(2, 6, "random", 4000, seed=3)
-    checks, _ = verify_report([rep])
+    checks, _ = verify_report(report_rows([rep]))
     assert {(c.term, c.kind) for c in checks} == {
         ("T_res", "mean"), ("T_res", "sign"), ("E_outB", "mean")}
 
@@ -359,11 +361,11 @@ def test_verify_checks_only_terms_with_expected_values():
     from dataclasses import replace
 
     rep = run_single(2, 4, "equal", 4000, seed=3)
-    checks, summary = verify_report([rep])
+    checks, summary = verify_report(report_rows([rep]))
     assert summary["failures"] == 0 and summary["checks"] == 14
     only = {name: (tr if name == "T_rot" else replace(tr, expected=None))
             for name, tr in rep.terms.items()}
-    checks, _ = verify_report([replace(rep, terms=only)])
+    checks, _ = verify_report(report_rows([replace(rep, terms=only)]))
     assert [(c.term, c.kind, c.expected) for c in checks] == [
         ("T_rot", "mean", rep.terms["T_rot"].expected)]
 
@@ -371,10 +373,16 @@ def test_verify_checks_only_terms_with_expected_values():
 def test_verify_zero_floor_handles_identically_zero_terms():
     # T_ext vanishes identically on the line; stderr is 0 there
     rep = run_single(1, 5, "equal", 3000, seed=3)
-    checks, summary = verify_report([rep])
+    checks, summary = verify_report(report_rows([rep]))
     assert summary["failures"] == 0
     ext = [c for c in checks if c.term == "T_ext"][0]
     assert ext.passed and ext.abs_diff <= ZERO_FLOOR
+
+
+def test_csv_columns_follow_term_report_fields():
+    renamed = {"min": "minimum", "max": "maximum"}
+    assert [renamed.get(c, c) for c in CSV_COLUMNS[4:18]] == [
+        f.name for f in fields(TermReport)]
 
 
 def test_random_mass_means_track_descriptive_fits():
