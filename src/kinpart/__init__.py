@@ -19,7 +19,7 @@ from .harness import (
     StatAccumulator, TermReport, RunReport, report_rows, run_experiment,
     run_single, verify_report,
 )
-from .linalg import random_orthogonal, sym_eigen
+from .linalg import random_orthogonal
 from .momenta import MomentaResult, momenta_direct, momenta_fast
 from .partitions import (
     PartitionResult, SvdFactors, compute_partition,
@@ -38,5 +38,5 @@ __all__ = [
     "random_mass_fit", "random_orthogonal", "report_rows",
     "residual_magnitude_approx", "run_experiment", "run_single",
     "sample_system", "sample_system_block", "substream", "svd", "svd_rates",
-    "sym_eigen", "verify_report",
+    "verify_report",
 ]

@@ -373,6 +373,8 @@ def verify_report(rows, sigma_threshold=4.0):
     that it is negative for half of the systems (d >= 2 and N >= 3 only; in
     the other cases the residual vanishes identically and its sign is
     roundoff noise).  Either check passes outright when |diff| <= ZERO_FLOOR.
+    Raises ValueError on a checked row with count below 1 or without the
+    mean, stderr or (for the sign check) fraction_negative it needs.
     Returns (checks, summary) where the summary aggregates abs_diff /
     weighted_diff / sigma_ratio over the mean checks, mirroring how batches
     of such comparisons are usually quoted.
@@ -383,9 +385,14 @@ def verify_report(rows, sigma_threshold=4.0):
     for row in rows:
         if row["expected"] is None:
             continue
+        sign = row["term"] == "T_res" and row["d"] >= 2 and row["N"] >= 3
+        needed = ("mean", "stderr") + (("fraction_negative",) if sign else ())
+        if (row["count"] or 0) < 1 or any(row[key] is None for key in needed):
+            raise ValueError(f"{row['term']} row at N={row['N']} needs count >= 1 "
+                             f"and {', '.join(needed)}")
         checks.append(_check(row, "mean", row["mean"], row["stderr"], row["expected"],
                              sigma_threshold))
-        if row["term"] == "T_res" and row["d"] >= 2 and row["N"] >= 3:
+        if sign:
             checks.append(_check(row, "sign", row["fraction_negative"],
                                  0.5 / math.sqrt(row["count"]), 0.5, sigma_threshold))
     mean_checks = [c for c in checks if c.kind == "mean"]

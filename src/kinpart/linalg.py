@@ -7,7 +7,9 @@ That reproducibility is what the Monte Carlo harness relies on;
 LAPACK-grade speed is a non-goal.  All routines operate on plain float64
 numpy arrays.  The sampler and the engine keep a batch of systems in lane
 arrays, with the system index as the last, contiguous axis, and take every
-sum through _lane_sum.
+sum through _lane_sum.  Outside the engine, bases come from one LAPACK QR:
+_complete_orthonormal extends orthonormal columns to a square orthogonal
+matrix, and random_orthogonal draws Haar matrices for tests and demos.
 """
 
 import numpy as np
@@ -125,84 +127,29 @@ def jacobi_orthogonalize(cols, norm2):
 def _complete_orthonormal(thin):
     """Extend thin (L x m, orthonormal or zero columns) to L x L orthogonal.
 
-    Zero columns and the missing trailing columns are filled from standard
-    basis vectors by modified Gram-Schmidt with reorthogonalization; the
-    candidate order is fixed, so the completion is deterministic.
+    The orthonormal columns are kept bit for bit; zero columns and the
+    missing trailing columns, in order, take the columns past the kept ones
+    of a complete QR factorization of the kept ones, which span their
+    orthogonal complement.
     """
     length, m = thin.shape
-    final = [None] * length
-    accepted = []
-    for j in range(m):
-        col = thin[:, j]
-        if float(np.sum(col * col)) > 0.5:
-            final[j] = col
-            accepted.append(col)
-    cand = 0
-    for j in range(length):
-        if final[j] is not None:
-            continue
-        while True:
-            if cand >= length:
-                raise RuntimeError("orthonormal completion ran out of candidates")
-            vec = np.zeros(length)
-            vec[cand] = 1.0
-            cand += 1
-            for _ in range(2):
-                for b in accepted:
-                    vec = vec - np.sum(b * vec) * b
-            norm = float(np.sqrt(np.sum(vec * vec)))
-            if norm > 1e-6:
-                vec = vec / norm
-                final[j] = vec
-                accepted.append(vec)
-                break
-    return np.stack(final, axis=1)
-
-
-def sym_eigen(s):
-    """Eigen-decomposition of a symmetric matrix, eigenvalues descending.
-
-    Returns (values, vectors) with s @ vectors = vectors @ diag(values) and
-    orthonormal columns.  Serves as the independent cross-check for the
-    Jacobi SVD: the squared singular values of Z are the eigenvalues of
-    Z @ Z.T.
-    Raises ValueError if s is not symmetric to within 1e-12 (relative to
-    its largest entry for matrices above unit scale).
-    """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    scale = max(1.0, float(np.max(np.abs(s)))) if s.size else 1.0
-    if float(np.max(np.abs(s - s.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    values, vectors = np.linalg.eigh((s + s.T) / 2.0)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            vectors[:, j] = -col
-    return values, vectors
+    kept = np.pad(np.sum(thin * thin, axis=0) > 0.5, (0, length - m))
+    cols = thin[:, kept[:m]]
+    full = np.empty((length, length))
+    full[:, kept] = cols
+    full[:, ~kept] = np.linalg.qr(cols, mode="complete")[0][:, cols.shape[1]:]
+    return full
 
 
 def random_orthogonal(dim, rng):
     """Haar-distributed random orthogonal dim x dim matrix.
 
-    Gram-Schmidt (with reorthogonalization) applied to a standard Gaussian
-    matrix; the positive column norms fix the signs, which is exactly the
-    convention that makes the distribution Haar.
+    The Q factor of a standard Gaussian matrix whose columns are drawn one
+    after another, with each column's sign turned so that R has a positive
+    diagonal: that convention makes the distribution Haar (Mezzadri,
+    Notices AMS 54(5), 2007).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    q = np.zeros((dim, dim))
-    for j in range(dim):
-        while True:
-            vec = rng.standard_normal(dim)
-            for _ in range(2):
-                for i in range(j):
-                    vec = vec - np.sum(q[:, i] * vec) * q[:, i]
-            norm = float(np.sqrt(np.sum(vec * vec)))
-            if norm > 1e-12:
-                break
-        q[:, j] = vec / norm
-    return q
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)).T)
+    return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)

@@ -6,7 +6,8 @@ singular angular momentum built from the singular values and their rates.
 
 Two routes are provided.  momenta_direct evaluates the defining component
 sums and exists as the testing oracle, with xi and xidot from
-partitions.svd_rates; momenta_fast evaluates the Gram-matrix forms whose
+partitions.svd_rates, which reads them off one LAPACK SVD of Z;
+momenta_fast evaluates the Gram-matrix forms whose
 cost stays linear in the number of columns.  The partition engine
 (_batch.partition_batch) computes the momenta the Monte Carlo harness and
 compute_partition report.

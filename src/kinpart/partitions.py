@@ -19,9 +19,11 @@ project_oracle recomputes the projections by explicit least squares over
 spanning sets of the tangent spaces, eigenvector_split_oracle the
 E_out/E_in refinements by eigenvector perturbation theory, and svd_rates
 the singular values and their rates, which momenta_direct needs for L.
-They take the singular values and vectors from the LAPACK
-eigen-decomposition of the Gram matrices (linalg.sym_eigen), never from
-the Jacobi SVD they check.
+Each takes its bases from one LAPACK SVD per matrix (np.linalg.svd), never
+from the Jacobi SVD they check and never from a Gram matrix, whose
+eigenvectors would square the condition number near repeated singular
+values (Bjorck, Numerical Methods for Least Squares Problems, 1996, 1.4
+and 2.7).  All of them cut singular values at the engine's ZERO_TOL * xi_1.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ from ._batch import (
     BATCH_FIELDS, GAP_TOL, TERMS, ZERO_TOL, _lanes, _slab_sum, _thin_svd,
     partition_batch,
 )
-from .linalg import _complete_orthonormal, sym_eigen
+from .linalg import _complete_orthonormal
 from .momenta import MomentaResult
 # Not called here: perfbench/spans.py wraps kinpart.partitions.momenta_fast.
 from .momenta import momenta_fast  # noqa: F401
@@ -185,127 +187,83 @@ class OracleProjections:
     split_valid: bool
 
 
-def _rotation_span(z):
-    """Spanning matrices (E_pq - E_qp) @ Z of the physical tangent space."""
+def _spans(z):
+    """Spanning matrices of the two tangent spaces at z, one flattened
+    generator per column: (E_pq - E_qp) @ Z for p < q (physical rotations)
+    and Z @ (E_ab - E_ba) for a < b (kinematic rotations)."""
     d, n = z.shape
-    basis = []
-    for p in range(d - 1):
-        for q in range(p + 1, d):
-            mat = np.zeros((d, n))
-            mat[p] = z[q]
-            mat[q] = -z[p]
-            basis.append(mat.ravel())
-    return basis
-
-
-def _kinematic_span(z):
-    """Spanning matrices Z @ (E_ab - E_ba) of the kinematic tangent space."""
-    d, n = z.shape
-    basis = []
-    for a in range(n - 1):
-        for b in range(a + 1, n):
-            mat = np.zeros((d, n))
-            mat[:, b] = z[:, a]
-            mat[:, a] = -z[:, b]
-            basis.append(mat.ravel())
-    return basis
-
-
-# Relative rank cut of the oracles, on Gram eigenvalues (squared singular
-# values).  A cut on their square roots would count eigenvalue roundoff,
-# about sqrt(eps) * xi_1, as positive.
-_RANK_CUT = 1e-10
-
-
-def _gram_eigen(gram):
-    """sym_eigen of a Gram matrix, with the eigenvalues at or below
-    _RANK_CUT * lambda_1 set to 0."""
-    lam, vectors = sym_eigen(gram)
-    return np.where(lam > _RANK_CUT * lam[0], lam, 0.0), vectors
+    p, q = np.triu_indices(d, k=1)
+    rot = np.zeros((d, n, p.size))
+    rot[p, :, np.arange(p.size)] = z[q]
+    rot[q, :, np.arange(p.size)] = -z[p]
+    a, b = np.triu_indices(n, k=1)
+    kin = np.zeros((d, n, a.size))
+    kin[:, b, np.arange(a.size)] = z[:, a]
+    kin[:, a, np.arange(a.size)] = -z[:, b]
+    return rot.reshape(d * n, -1), kin.reshape(d * n, -1)
 
 
 def svd_rates(z, zdot):
     """Singular values xi of z and their rates xidot along zdot.
 
-    The oracle route, which never runs the engine's Jacobi SVD: u_s are the
-    eigenvectors of the smaller Gram matrix (linalg.sym_eigen), xi_s =
-    ||Z^T u_s||, v_s is Z^T u_s / xi_s, and xidot_s = u_s^T Zdot v_s, the
-    first-order rate of a simple singular value (Stewart & Sun, Matrix
-    Perturbation Theory, 1990).  The roundoff of u_s puts a part
-    eps * xi_1 / xi_s of v_1 into Z^T u_s / xi_s; a QR factorization takes
-    out the parts along the v_t of larger xi_t.  xi_s is good to about
-    eps * xi_1, so values at or below the engine's ZERO_TOL * xi_1 get
-    xidot_s = 0 and all others keep their rate.  Inputs are rescaled by
-    powers of two, so any scale in the double range works.  Raises
-    ValueError on mismatched shapes, non-finite entries or a zero z.
+    The oracle route, which never runs the engine's Jacobi SVD: u_s, xi_s
+    and v_s come from one LAPACK SVD of z, and xidot_s = u_s^T Zdot v_s,
+    the first-order rate of a simple singular value (Stewart & Sun, Matrix
+    Perturbation Theory, 1990).  xi_s is good to about eps * xi_1, so
+    values at or below the engine's ZERO_TOL * xi_1 get xidot_s = 0 and all
+    others keep their rate.  Inputs are rescaled by powers of two, so any
+    scale in the double range works.  Raises ValueError on mismatched
+    shapes, non-finite entries or a zero z.
     """
     z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
     if not np.any(z):
         raise ValueError("Z is identically zero")
-    if z.shape[0] > z.shape[1]:  # xi and xidot are those of the transposes
-        z, zdot = z.T, zdot.T
-    _, u = sym_eigen(z @ z.T)  # columns by descending eigenvalue
-    zu = z.T @ u  # column s is xi_s v_s
-    xi = np.sqrt(np.sum(zu * zu, axis=0))
-    v, r = np.linalg.qr(zu)
-    v *= np.sign(np.diagonal(r))
-    xidot = np.where(xi > ZERO_TOL * np.max(xi), np.sum(u * (zdot @ v), axis=0), 0.0)
+    u, xi, vt = np.linalg.svd(z, full_matrices=False)
+    xidot = np.where(xi > ZERO_TOL * xi[0], np.sum(u * (zdot @ vt.T), axis=0), 0.0)
     return np.ldexp(xi, z_exp), np.ldexp(xidot, zdot_exp)
-
-
-def _project(basis, target):
-    """Squared norm of the projection of target onto span(basis).
-
-    Normal equations with a rank-revealing pseudo-inverse; the rank cut is
-    _RANK_CUT relative to the largest Gram eigenvalue.  Also returns the
-    projected vector itself.
-    """
-    if not basis:
-        return 0.0, np.zeros_like(target), np.zeros(0)
-    a = np.stack(basis, axis=1)
-    gram = a.T @ a
-    coeff = np.linalg.pinv(gram, rcond=_RANK_CUT) @ (a.T @ target)
-    proj = a @ coeff
-    return float(np.sum(proj * proj)), proj, coeff
 
 
 def project_oracle(mass, z, zdot):
     """Brute-force T_ext, T_int, T_rot, E_out, E_in by explicit projection.
 
-    Builds the spanning sets of the two tangent spaces and projects Zdot on
-    each and on their joint span.  When all positive singular values of Z
-    are pairwise distinct the joint tangent component splits uniquely into
-    the two spans; the split coefficients then give E_out and E_in.  When
-    the condition fails the split is skipped and flagged.
+    Builds the spanning matrices of the two tangent spaces and projects
+    Zdot onto the left singular vectors of each and of both together,
+    keeping singular values above ZERO_TOL * xi_1.  When the live singular
+    values of Z are pairwise distinct (the engine's GAP_TOL test) the joint
+    tangent component splits uniquely into the two spans; the least-squares
+    coefficients from the joint factorization then give E_out and E_in.
+    When the condition fails the split is skipped and flagged.  Z is
+    rescaled by a power of two first: the terms do not depend on its scale.
     """
-    z = np.asarray(z, dtype=float)
-    zdot = np.asarray(zdot, dtype=float)
-    target = zdot.ravel()
-    basis_r = _rotation_span(z)
-    basis_q = _kinematic_span(z)
+    z = _unit_scaled(z, zdot)[0]
+    target = np.asarray(zdot, dtype=float).ravel()
+    xi = np.linalg.svd(z, compute_uv=False)
+    rot, kin = _spans(z)
 
-    ext2, _, _ = _project(basis_r, target)
-    int2, _, _ = _project(basis_q, target)
-    rot2, _, coeff = _project(basis_r + basis_q, target)
+    def projected(a):
+        """T of the projection onto span(a), and its coefficients in a."""
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        keep = s > ZERO_TOL * xi[0]
+        y = u[:, keep].T @ target
+        return 0.5 * mass * float(y @ y), vt[keep].T @ (y / s[keep])
 
-    lam, _ = _gram_eigen(z @ z.T if z.shape[0] <= z.shape[1] else z.T @ z)
-    positive = lam[lam > 0.0]
-    split_valid = bool(np.all(np.abs(np.diff(positive)) > GAP_TOL * lam[0]))
-    e_out2 = e_in2 = 0.0
+    t_rot, coeff = projected(np.concatenate([rot, kin], axis=1))
+    # The engine's degenerate test on descending xi: each live value has a
+    # squared gap above GAP_TOL * xi_1^2 to the next one.
+    live = xi[:-1] > ZERO_TOL * xi[0]
+    split_valid = bool(np.all((xi[:-1] ** 2 - xi[1:] ** 2)[live] > GAP_TOL * xi[0] ** 2))
+    e_out = e_in = 0.0
     if split_valid:
-        nr = len(basis_r)
-        if nr:
-            out_vec = np.stack(basis_r, axis=1) @ coeff[:nr]
-            e_out2 = float(np.sum(out_vec * out_vec))
-        if basis_q:
-            in_vec = np.stack(basis_q, axis=1) @ coeff[nr:]
-            e_in2 = float(np.sum(in_vec * in_vec))
+        out_vec = rot @ coeff[:rot.shape[1]]
+        in_vec = kin @ coeff[rot.shape[1]:]
+        e_out = 0.5 * mass * float(out_vec @ out_vec)
+        e_in = 0.5 * mass * float(in_vec @ in_vec)
     return OracleProjections(
-        T_ext=0.5 * mass * ext2,
-        T_int=0.5 * mass * int2,
-        T_rot=0.5 * mass * rot2,
-        E_out=0.5 * mass * e_out2,
-        E_in=0.5 * mass * e_in2,
+        T_ext=projected(rot)[0],
+        T_int=projected(kin)[0],
+        T_rot=t_rot,
+        E_out=e_out,
+        E_in=e_in,
         split_valid=split_valid,
     )
 
@@ -313,22 +271,27 @@ def project_oracle(mass, z, zdot):
 def eigenvector_split_oracle(mass, z, zdot):
     """E_outA, E_outB, E_inA, E_inB via eigenvector derivatives.
 
-    Independent route: the unit eigenvectors u_i of Z Z^T (and v_a of
-    Z^T Z) are differentiated by first-order perturbation theory along
+    Independent route: the unit eigenvectors u_i of Z Z^T and v_a of
+    Z^T Z, taken as the full singular vectors of one LAPACK SVD of Z, are
+    differentiated by first-order perturbation theory along
     Sdot = Zdot Z^T + Z Zdot^T, giving
 
       u_j . udot_i = u_j^T Sdot u_i / (lambda_i - lambda_j),
 
     and the four components are the xi^2-weighted sums of the squared
-    overlaps inside (A) and outside (B) the positive-eigenvalue block.
-    Requires pairwise distinct positive singular values.
+    overlaps inside (A) and outside (B) the block of live eigenvalues
+    (xi above ZERO_TOL * xi_1).  Requires pairwise distinct live singular
+    values.  Z is rescaled by a power of two first, so lambda = xi^2 cannot
+    underflow or overflow: the terms do not depend on its scale.
     """
-    z = np.asarray(z, dtype=float)
+    z = _unit_scaled(z, zdot)[0]
     zdot = np.asarray(zdot, dtype=float)
+    u, xi, vt = np.linalg.svd(z)
+    k = int(np.count_nonzero(xi > ZERO_TOL * xi[0]))
 
-    def one_side(s_mat, sdot):
-        lam_acc, vectors = _gram_eigen(s_mat)
-        k = int(np.sum(lam_acc > 0.0))
+    def one_side(vectors, sdot):
+        lam_acc = np.zeros(len(vectors))
+        lam_acc[:k] = xi[:k] ** 2
         overlap = vectors.T @ sdot @ vectors
         comp_a = comp_b = 0.0
         for i in range(k):
@@ -343,8 +306,6 @@ def eigenvector_split_oracle(mass, z, zdot):
                     comp_b += lam_acc[i] * coupling * coupling
         return 0.5 * mass * comp_a, 0.5 * mass * comp_b
 
-    sdot_left = zdot @ z.T + z @ zdot.T
-    e_out_a, e_out_b = one_side(z @ z.T, sdot_left)
-    sdot_right = zdot.T @ z + z.T @ zdot
-    e_in_a, e_in_b = one_side(z.T @ z, sdot_right)
+    e_out_a, e_out_b = one_side(u, zdot @ z.T + z @ zdot.T)
+    e_in_a, e_in_b = one_side(vt.T, zdot.T @ z + z.T @ zdot)
     return e_out_a, e_out_b, e_in_a, e_in_b

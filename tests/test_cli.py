@@ -408,6 +408,27 @@ def test_verify_rejects_a_csv_without_column_header(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("term, column, value", [
+    ("T_res", "count", "0"), ("T_rot", "mean", ""), ("T_rot", "stderr", ""),
+    ("T_res", "fraction_negative", "")])
+def test_verify_rejects_a_row_it_cannot_check(tmp_path, capsys, term, column, value):
+    out = tmp_path / "run.csv"
+    run_cli(capsys, "simulate", "--d", "2", "--n-min", "3", "--n-max", "3",
+            "--samples", "2000", "--masses", "equal", "--seed", "5", "--out", str(out))
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    for i, line in enumerate(lines[2:], start=2):
+        parts = line.split(",")
+        if parts[header.index("term")] == term:
+            parts[header.index(column)] = value
+            lines[i] = ",".join(parts)
+            break
+    out.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run_cli(capsys, "verify", "--input", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {term} row at N=3 needs count >= 1") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("sigma", ["nan", "-1", "inf", "0"])
 def test_verify_refuses_invalid_sigma(tmp_path, capsys, sigma):
     out = str(tmp_path / "run.csv")

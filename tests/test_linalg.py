@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kinpart import random_orthogonal, substream, svd, sym_eigen
-from kinpart.linalg import _lane_sum, jacobi_orthogonalize
+from kinpart import random_orthogonal, substream, svd
+from kinpart.linalg import _complete_orthonormal, _lane_sum, jacobi_orthogonalize
 
 
 def test_frobenius_norm_equals_singular_values():
@@ -77,7 +77,7 @@ def test_svd_vs_eigendecomposition():
     rng = substream(1, 4)
     z = rng.standard_normal((2, 9))
     xi = svd(z).xi
-    values, _ = sym_eigen(z @ z.T)
+    values = np.linalg.eigvalsh(z @ z.T)
     assert np.max(np.abs(np.sort(xi**2) - np.sort(values))) <= 1e-10
 
 
@@ -148,40 +148,35 @@ def test_svd_at_extreme_scales(scale):
     assert np.max(np.abs(xi_s / scale - xi)) <= 1e-12 * xi[0]
 
 
-def test_sym_eigen_identity():
-    values, vectors = sym_eigen(np.eye(3))
-    assert np.allclose(values, 1.0, atol=0)
-    assert np.max(np.abs(vectors.T @ vectors - np.eye(3))) <= 1e-12
-
-
-def test_sym_eigen_diagonal():
-    values, vectors = sym_eigen(np.diag([4.0, 0.0]))
-    assert np.allclose(values, [4.0, 0.0], atol=0)
-    assert np.allclose(np.abs(vectors), np.eye(2), atol=1e-14)
-
-
-def test_sym_eigen_residual():
-    rng = substream(1, 8)
-    a = rng.standard_normal((5, 5))
-    s = a + a.T
-    values, vectors = sym_eigen(s)
-    resid = s @ vectors - vectors * values[None, :]
-    assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(s))
-
-
 def test_sym_eigen_matches_svd():
+    # squared singular values, padded with zeros, are the eigenvalues of
+    # Z^T Z (independent route)
     rng = substream(1, 9)
     z = rng.standard_normal((3, 6))
-    values, _ = sym_eigen(z.T @ z)
+    values = np.linalg.eigvalsh(z.T @ z)
     xi = svd(z).xi
     padded = np.zeros(6)
     padded[:3] = xi**2
     assert np.max(np.abs(np.sort(values) - np.sort(padded))) <= 1e-10
 
 
-def test_sym_eigen_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+@pytest.mark.parametrize("length, m, zero", [
+    (5, 2, None),  # m < L: trailing columns filled
+    (4, 4, None),  # m = L: nothing to fill
+    (6, 4, 1),     # a zero column in the middle, and trailing ones
+    (3, 3, 2),     # a zero last column of a square frame
+    (3, 2, (0, 1)),  # no kept column at all
+])
+def test_complete_orthonormal_contract(length, m, zero):
+    rng = substream(1, 15, length, m)
+    thin = np.linalg.qr(rng.standard_normal((length, m)))[0]
+    if zero is not None:
+        thin[:, zero] = 0.0
+    full = _complete_orthonormal(thin)
+    assert full.shape == (length, length)
+    kept = np.sum(thin * thin, axis=0) > 0.5
+    assert full[:, :m][:, kept].tobytes() == thin[:, kept].tobytes()
+    assert np.max(np.abs(full.T @ full - np.eye(length))) <= 1e-12
 
 
 def test_random_orthogonal_dim1():

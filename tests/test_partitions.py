@@ -310,6 +310,79 @@ def test_rank_drop_terms_match_projection_oracle(d, n_particles, rank):
         assert not res.degenerate
 
 
+def system_with_singular_values(rng, d, n_particles, values):
+    """Z = U diag(values) V^T with Haar U and V, and a Gaussian Zdot."""
+    sigma = np.zeros((d, n_particles))
+    np.fill_diagonal(sigma, values)
+    z = random_orthogonal(d, rng) @ sigma @ random_orthogonal(n_particles, rng).T
+    return z, rng.standard_normal((d, n_particles))
+
+
+def assert_engine_matches_oracles(z, zdot, tol_terms, tol_split):
+    res = compute_partition(MASS, z, zdot)
+    oracle = project_oracle(MASS, z, zdot)
+    assert not res.degenerate and oracle.split_valid
+    for name in ("T_rot", "T_ext", "T_int"):
+        assert rel_gap(getattr(res, name), getattr(oracle, name)) <= tol_terms, name
+    for name in ("E_out", "E_in"):
+        assert rel_gap(getattr(res, name), getattr(oracle, name)) <= tol_split, name
+    split = eigenvector_split_oracle(MASS, z, zdot)
+    for name, value in zip(("E_outA", "E_outB", "E_inA", "E_inB"), split):
+        assert rel_gap(getattr(res, name), value) <= tol_split, name
+    direct = momenta_direct(MASS, z, zdot, *svd_rates(z, zdot))
+    assert rel_gap(res.momenta.L2, direct.L2) <= tol_split
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("d, n_particles", [(2, 3), (3, 5)])
+def test_near_repeated_singular_values_match_oracles(d, n_particles, eps):
+    # xi_1 = 1 + eps, xi_2 = 1.  Each side is good to about eps_mach / eps
+    # here: against a 60-digit reference at eps = 1e-8 the engine's T_rot
+    # was off by up to 5e-9 and the projection oracle's by up to 2e-8.
+    # Over 300 systems per eps the gap read at most 4.8e-16 / eps on the
+    # projections and 2.7e-13 / eps on the splits and L2.
+    rng = substream(3, 17, d, n_particles)
+    values = np.concatenate([[1.0 + eps, 1.0], np.linspace(0.6, 0.3, min(d, n_particles) - 2)])
+    for _ in range(8):
+        z, zdot = system_with_singular_values(rng, d, n_particles, values)
+        assert_engine_matches_oracles(z, zdot, 2e-15 / eps, 1e-12 / eps)
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-13, 1e-14])
+@pytest.mark.parametrize("d, n_particles", [(2, 3), (3, 5), (3, 3)])
+def test_near_rank_drop_matches_oracles(d, n_particles, ratio):
+    # xi_m / xi_1 = ratio on either side of ZERO_TOL = 1e-12.  A live xi_m
+    # leaves a rectangular Z good to about eps_mach / ratio (square Z is
+    # exact); over 300 systems per ratio the gap read at most
+    # 3.9e-16 / ratio on the projections and 2.5e-15 / ratio on the
+    # splits and L2.  A null xi_m is cut on both sides alike.
+    rng = substream(3, 18, d, n_particles)
+    values = np.linspace(1.0, 0.5, min(d, n_particles))
+    values[-1] = ratio
+    tol = (2e-15 / ratio, 1e-14 / ratio) if ratio > ZERO_TOL else (1e-13, 1e-13)
+    for _ in range(8):
+        z, zdot = system_with_singular_values(rng, d, n_particles, values)
+        assert_engine_matches_oracles(z, zdot, *tol)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def test_oracles_at_extreme_scales(scale):
+    # The terms are of degree 0 in Z, and both oracles rescale it first;
+    # unscaled, xi^2 leaves the double range and the split turns to nan.
+    rng = substream(3, 19)
+    z = scale * rng.standard_normal((3, 5))
+    zdot = rng.standard_normal((3, 5))
+    res = compute_partition(MASS, z, zdot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        oracle = project_oracle(MASS, z, zdot)
+        split = eigenvector_split_oracle(MASS, z, zdot)
+    for name in ("T_rot", "T_ext", "T_int", "E_out", "E_in"):
+        assert rel_gap(getattr(res, name), getattr(oracle, name)) <= 1e-12, name
+    for name, value in zip(("E_outA", "E_outB", "E_inA", "E_inB"), split):
+        assert rel_gap(getattr(res, name), value) <= 1e-12, name
+
+
 def test_projection_oracle_trivial_1x1():
     oracle = project_oracle(MASS, np.array([[1.0]]), np.array([[1.0]]))
     assert oracle.T_ext == 0.0
