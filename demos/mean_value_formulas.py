@@ -21,7 +21,7 @@ def main():
         print(f"{'term':>9} {'sampled':>10} {'formula':>10} {'diff/se':>8}")
         for term in BOUNDED_TERMS:
             tr = rep.terms[term]
-            formula = getattr(means, term)
+            formula = means[term]
             if tr.stderr > 0:
                 pull = abs(tr.mean - formula) / tr.stderr
                 pull_text = f"{pull:8.2f}"

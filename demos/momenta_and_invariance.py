@@ -9,9 +9,7 @@ the two momentum inequalities.
 
 import numpy as np
 
-from kinpart import (
-    compute_partition, random_orthogonal, sample_system, substream, svd_rates,
-)
+from kinpart import compute_partition, sample_system_block, substream, svd_rates
 
 MASS = 2.0
 
@@ -24,14 +22,15 @@ def describe(tag, res):
 
 def main():
     rng = substream(2024, 0)
-    system = sample_system(3, 6, "random", rng)
-    z, zdot = system.Z, system.Zdot
+    z, zdot, _ = sample_system_block(3, 6, "random", rng, 1)
+    z, zdot = z[0], zdot[0]
 
     res = compute_partition(MASS, z, zdot)
     describe("original", res)
 
-    rot = random_orthogonal(3, rng)
-    kin = random_orthogonal(6, rng)
+    # any orthogonal matrices will do: the Q factors of Gaussian ones
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    kin = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     describe("rotated O(d) x O(n)",
              compute_partition(MASS, rot @ z @ kin.T, rot @ zdot @ kin.T))
 

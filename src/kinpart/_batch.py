@@ -22,6 +22,12 @@ a rank drop (collinear or coplanar input, or the center-of-mass direction of
 a sampled system with d >= N) T_I takes in the null block of W, so T_rot
 and its complements follow and the terms agree with the brute-force
 oracles; the degenerate flag marks repeated non-zero singular values only.
+
+Against the brute-force oracles the terms agree to 1e-8 relative on generic
+systems.  With xi_1 / xi_2 = 1 + eps, T_rot, T_ext and T_int agree to
+about 2e-15 / eps; with the smallest singular value at a ratio r of the
+largest, the projections agree to about 2e-15 / r.  README gives the
+measured gaps behind these bounds.
 """
 
 import numpy as np
@@ -91,9 +97,10 @@ def _thin_svd(z, z2):
     # The order the CSV bytes rest on: the long side in turn, pairwise when m == 1.
     xi = np.sqrt(_lane_sum((rotated * rotated).swapaxes(0, 1), pairwise=m == 1))
     order = np.argsort(-xi, axis=0, kind="stable")
-    xi = np.take_along_axis(xi, order, axis=0)
-    vcols = np.take_along_axis(vcols, order[:, None], axis=0)
-    thin = np.take_along_axis(rotated, order[:, None], axis=0)
+    lanes = np.arange(xi.shape[1])
+    xi = xi[order, lanes]
+    vcols = vcols[order[:, None], np.arange(m)[:, None], lanes]
+    thin = rotated[order[:, None], np.arange(rotated.shape[1])[:, None], lanes]
     cut = _COLUMN_FREEZE * np.sqrt(_lane_sum(xi * xi))
     thin /= np.where(xi > 0.0, xi, 1.0)[:, None]
     np.copyto(thin, 0.0, where=~(xi > cut)[:, None])
@@ -140,9 +147,12 @@ def partition_batch(mass, z, zdot):
 
     z, zdot: (B, d, n) arrays in any memory layout.  Returns a dict of (B,)
     arrays keyed by BATCH_FIELDS plus a boolean "degenerate" array.  Raises
-    ValueError on non-finite entries, a zero hyperradius, or a system whose
-    z2 or z2 * zd2 is not a normal double (zdot == 0 is accepted).
+    ValueError on a mass that is not finite and > 0, non-finite entries, a
+    zero hyperradius, or a system whose z2 or z2 * zd2 is not a normal
+    double (zdot == 0 is accepted).
     """
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be finite and > 0, got {mass!r}")
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
     if z.ndim != 3 or z.shape != zdot.shape:

@@ -35,7 +35,7 @@ from .partitions import (
 CSV_FORMAT = "kinpart-simulate-csv/1"
 
 ORACLE_MAX_D = 5
-ORACLE_MAX_N = 8
+ORACLE_MAX_N = 100
 # Terms oracle-check compares with project_oracle and with
 # eigenvector_split_oracle; the momenta go against momenta_direct.
 _PROJECTED = ("T_ext", "T_int", "T_rot", "E_out", "E_in")

@@ -18,6 +18,8 @@ SystemDraws.rows then turns runs of rows, in index order, into systems;
 the rare zero-norm system is redrawn there, so redraws follow all of the
 block's draws in index order.  No row's arithmetic involves another row,
 so a block gives the same bits taken whole or in chunks.
+sample_system_block takes a block as one chunk; a single system is a block
+of one.
 
 rows() builds each chunk's systems as (N, d, rows) lane arrays, with the
 system index last; linalg._lane_sum sets the order of its sums, on which
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _complete_orthonormal, _lane_sum
+from .linalg import _lane_sum
 
 TOTAL_MASS = 2.0
 
@@ -42,17 +44,6 @@ MODE_CODES = {EQUAL_MASSES: 0, RANDOM_MASSES: 1}
 _UNDERFLOW = 1e-300
 # Entries per slice of the Gaussian draws whose squares are summed at once.
 _NORM_ENTRIES = 2**17
-
-
-@dataclass(frozen=True)
-class ParticleSystem:
-    """One sampled system: masses plus the (d, N) matrices Z and Zdot."""
-
-    d: int
-    N: int
-    masses: np.ndarray
-    Z: np.ndarray
-    Zdot: np.ndarray
 
 
 def substream(seed, *key):
@@ -248,22 +239,3 @@ def sample_system_block(d, N, mode, rng, count):
     if masses is None:
         masses = np.full((count, N), TOTAL_MASS / N)
     return z, zdot, masses
-
-
-def sample_system(d, N, mode, rng):
-    """One random system; see sample_system_block for the draw order."""
-    z, zdot, masses = sample_system_block(d, N, mode, rng, 1)
-    return ParticleSystem(d=d, N=N, masses=masses[0], Z=z[0], Zdot=zdot[0])
-
-
-def kinematic_reduction_frame(masses):
-    """Orthogonal N x N matrix Q whose last row is (m_a / M)^(1/2).
-
-    For a system with the center-of-mass at the origin, Z @ Q.T has a zero
-    last column; dropping it leaves the reduced d x (N-1) description of
-    the same system.
-    """
-    masses = np.asarray(masses, dtype=float)
-    v = np.sqrt(masses / np.sum(masses))
-    full = _complete_orthonormal(v[:, None])
-    return np.vstack([full[:, 1:].T, v])

@@ -12,7 +12,6 @@ ensemble means.  Both are approximations and must never be used as tight
 assertion targets.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 BOUNDED_TERMS = (
@@ -20,32 +19,6 @@ BOUNDED_TERMS = (
     "T_ext", "T_int", "T_res", "T_J", "T_K", "T_ac",
     "E_outB", "E_inB",
 )
-
-
-@dataclass(frozen=True)
-class ExpectationSet:
-    """Mean values of the 13 bounded terms at one (d, N), equal masses."""
-
-    d: int
-    N: int
-    nu: int
-    omega: int
-    T_lambda: float
-    T_rho: float
-    T_rot: float
-    T_I: float
-    T_xi: float
-    T_ext: float
-    T_int: float
-    T_res: float
-    T_J: float
-    T_K: float
-    T_ac: float
-    E_outB: float
-    E_inB: float
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in BOUNDED_TERMS}
 
 
 def conjecture_means_exact(d, N):
@@ -75,12 +48,9 @@ def conjecture_means_exact(d, N):
 
 
 def conjecture_means(d, N):
-    """Mean values of the bounded terms at (d, N) for equal masses."""
-    exact = conjecture_means_exact(d, N)
-    return ExpectationSet(
-        d=d, N=N, nu=N - 1, omega=min(d, N - 1),
-        **{name: float(value) for name, value in exact.items()},
-    )
+    """Mean values of the 13 bounded terms at (d, N) for equal masses, as
+    floats keyed by term name in BOUNDED_TERMS order."""
+    return {name: float(value) for name, value in conjecture_means_exact(d, N).items()}
 
 
 def residual_magnitude_approx(d, N):

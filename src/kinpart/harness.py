@@ -219,11 +219,12 @@ def expected_values(d, N, mode):
     """
     means = conjecture_means(d, N)
     if mode == "equal" or N == 2:
-        return means.as_dict()
+        return means
+    omega = min(d, N - 1)
     out = {"T_res": 0.0}
-    if means.omega == d:
+    if omega == d:
         out["E_outB"] = 0.0
-    if means.omega == means.nu:
+    if omega == N - 1:
         out["E_inB"] = 0.0
     return out
 

@@ -7,9 +7,8 @@ That reproducibility is what the Monte Carlo harness relies on;
 LAPACK-grade speed is a non-goal.  All routines operate on plain float64
 numpy arrays.  The sampler and the engine keep a batch of systems in lane
 arrays, with the system index as the last, contiguous axis, and take every
-sum through _lane_sum.  Outside the engine, bases come from one LAPACK QR:
-_complete_orthonormal extends orthonormal columns to a square orthogonal
-matrix, and random_orthogonal draws Haar matrices for tests and demos.
+sum through _lane_sum.  Outside the engine, _complete_orthonormal extends
+orthonormal columns to a square orthogonal matrix with one LAPACK QR.
 """
 
 import numpy as np
@@ -139,17 +138,3 @@ def _complete_orthonormal(thin):
     full[:, kept] = cols
     full[:, ~kept] = np.linalg.qr(cols, mode="complete")[0][:, cols.shape[1]:]
     return full
-
-
-def random_orthogonal(dim, rng):
-    """Haar-distributed random orthogonal dim x dim matrix.
-
-    The Q factor of a standard Gaussian matrix whose columns are drawn one
-    after another, with each column's sign turned so that R has a positive
-    diagonal: that convention makes the distribution Haar (Mezzadri,
-    Notices AMS 54(5), 2007).
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)).T)
-    return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)

@@ -127,11 +127,13 @@ class PartitionResult:
 def _unit_scaled(z, zdot):
     """z and zdot rescaled by powers of two, which is exact, to entries in
     [1/2, 1), with the two exponents that scale them back.  Raises
-    ValueError on mismatched shapes or non-finite entries."""
+    ValueError on mismatched shapes, an empty Z or non-finite entries."""
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
     if z.ndim != 2 or z.shape != zdot.shape:
         raise ValueError(f"shape mismatch: Z {z.shape} vs Zdot {zdot.shape}")
+    if z.size == 0:
+        raise ValueError(f"Z has no entries, shape {z.shape}")
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zdot))):
         raise ValueError("non-finite entries")
     _, z_exp = np.frexp(np.max(np.abs(z)))
@@ -149,10 +151,11 @@ def compute_partition(mass, z, zdot):
     their partitions, so the five partition identities hold by
     construction.  The degenerate flag marks (numerically) repeated
     non-zero singular values, where the singular-expansion terms come from
-    the regularized solve.  Raises ValueError on non-finite input, a zero
-    hyperradius, or an energy term beyond the double range (results below
-    it come out 0).  The momenta grow as ||Z||^2 ||Zdot||^2, so they can
-    overflow where the terms do not; momenta is then None.
+    the regularized solve.  Raises ValueError on a mass that is not finite
+    and > 0, an empty Z, non-finite input, a zero hyperradius, or an
+    energy term beyond the double range (results below it come out 0).
+    The momenta grow as ||Z||^2 ||Zdot||^2, so they can overflow where the
+    terms do not; momenta is then None.
     """
     # Every term is quadratic in Zdot and of degree 0 in Z, and the momenta
     # scale as ||Z||^2 ||Zdot||^2, so products of two squared norms

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import kinpart as kp
+from frames import haar, reduction_frame
 from kinpart.cli import main as cli_main
 from kinpart.ensemble import MODE_CODES
 from kinpart.harness import ZERO_FLOOR
@@ -61,18 +62,20 @@ def test_criterion_1_plane_equal_masses():
 
 
 def test_criterion_2_other_dimensions():
-    # the arbitrary-dimension formulas: d in {1, 4, 5}
+    # the arbitrary-dimension formulas: d in {1, 4, 5} at small N, and
+    # d in {1, 3, 4} up to the sweep's N = 100
+    cells = ([(d, n) for d in (1, 4, 5) for n in (2, 4, 8)]
+             + [(d, n) for d in (1, 3, 4) for n in (3, 10, 50, 100)])
     worst = 0.0
     failures = []
-    for d in (1, 4, 5):
-        for n_particles in (2, 4, 8):
-            for check in mean_checks(report(d, n_particles, "equal")):
-                worst = max(worst, statistical_ratio(check))
-                if not check.passed:
-                    failures.append((d, n_particles, check.term))
+    for d, n_particles in cells:
+        for check in mean_checks(report(d, n_particles, "equal")):
+            worst = max(worst, statistical_ratio(check))
+            if not check.passed:
+                failures.append((d, n_particles, check.term))
     announce(2, not failures,
-             f"d in (1,4,5), all bounded means within {SIGMA} standard "
-             f"errors (worst ratio {worst:.2f}; failures {failures})")
+             f"d in (1,3,4,5), N up to 100, all bounded means within {SIGMA} "
+             f"standard errors (worst ratio {worst:.2f}; failures {failures})")
 
 
 def test_criterion_3_two_particles_exact():
@@ -246,8 +249,8 @@ def _criterion_8_cell(d, n_particles, mode, count, failures):
     term_names = [k for k in res if k != "degenerate"]
 
     # orthogonal invariance
-    rot_r = kp.random_orthogonal(d, rng)
-    rot_q = kp.random_orthogonal(n_particles, rng)
+    rot_r = haar(d, rng)
+    rot_q = haar(n_particles, rng)
     res_t = kp.partition_batch(
         2.0,
         np.einsum("ij,bjn,mn->bim", rot_r, z, rot_q),
@@ -269,7 +272,7 @@ def _criterion_8_cell(d, n_particles, mode, count, failures):
     z_red = np.empty((count, d, n_particles - 1))
     zd_red = np.empty((count, d, n_particles - 1))
     for i in range(count):
-        frame = kp.kinematic_reduction_frame(masses[i])
+        frame = reduction_frame(masses[i])
         z_red[i] = (z[i] @ frame.T)[:, :-1]
         zd_red[i] = (zdot[i] @ frame.T)[:, :-1]
     res_r = kp.partition_batch(2.0, z_red, zd_red)

@@ -477,7 +477,19 @@ def test_oracle_check_refuses_no_samples(capsys, samples):
     assert "--samples >= 1" in err
 
 
+@pytest.mark.parametrize("n_particles", [17, 64, 100])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_oracle_check_passes_at_sweep_sizes(capsys, d, n_particles):
+    code, stdout, _ = run_cli(capsys, "oracle-check", "--d", str(d),
+                              "--n", str(n_particles), "--samples", "2", "--seed", "4")
+    assert code == 0
+    assert stdout.endswith("degenerate skipped: 0\nPASS (tolerance 1e-08)\n")
+
+
 def test_oracle_check_range_enforced(capsys):
     code, _, err = run_cli(capsys, "oracle-check", "--d", "6", "--n", "4",
                            "--samples", "5", "--seed", "1")
     assert code == 2 and "limited" in err
+    code, _, err = run_cli(capsys, "oracle-check", "--d", "2", "--n", "101",
+                           "--samples", "1", "--seed", "1")
+    assert code == 2 and "N <= 100" in err

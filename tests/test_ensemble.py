@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from kinpart import (
-    kinematic_reduction_frame, partition_batch, sample_system,
-    sample_system_block, substream,
-)
+from frames import reduction_frame
+from kinpart import partition_batch, sample_system_block, substream
 from kinpart import ensemble
 from kinpart.ensemble import (
     _ball_points, _ball_size, _draw_ball, _draw_sphere, _row_norms,
@@ -92,19 +90,18 @@ def test_system_invariants():
 
 def test_equal_masses_value():
     rng = substream(4, 7)
-    system = sample_system(2, 5, "equal", rng)
-    assert np.allclose(system.masses, 0.4, atol=0)
-    assert system.Z.shape == (2, 5)
+    z, _, masses = sample_system_block(2, 5, "equal", rng, 1)
+    assert np.allclose(masses[0], 0.4, atol=0)
+    assert z[0].shape == (2, 5)
 
 
 def test_sampling_is_deterministic():
-    a = sample_system(3, 4, "random", substream(123, 9))
-    b = sample_system(3, 4, "random", substream(123, 9))
-    assert np.array_equal(a.Z, b.Z)
-    assert np.array_equal(a.Zdot, b.Zdot)
-    assert np.array_equal(a.masses, b.masses)
-    c = sample_system(3, 4, "random", substream(123, 10))
-    assert not np.array_equal(a.Z, c.Z)
+    a = sample_system_block(3, 4, "random", substream(123, 9), 1)
+    b = sample_system_block(3, 4, "random", substream(123, 9), 1)
+    for x, y in zip(a, b):
+        assert np.array_equal(x[0], y[0])
+    c = sample_system_block(3, 4, "random", substream(123, 10), 1)
+    assert not np.array_equal(a[0][0], c[0][0])
 
 
 def test_normalization_gives_unit_energy_and_radius():
@@ -159,6 +156,6 @@ def test_reduction_frame_properties():
     rng = substream(4, 11)
     masses = rng.uniform(0.1, 1.0, size=6)
     masses *= 2.0 / masses.sum()
-    frame = kinematic_reduction_frame(masses)
+    frame = reduction_frame(masses)
     assert np.max(np.abs(frame @ frame.T - np.eye(6))) <= 1e-12
     assert np.allclose(frame[-1], np.sqrt(masses / 2.0), atol=1e-15)

@@ -10,12 +10,12 @@ from kinpart import (
 
 def test_plane_three_particles():
     es = conjecture_means(2, 3)
-    assert es.T_rot == 0.5
-    assert es.T_K == 0.25
-    assert es.T_ac == 0.0
-    assert es.E_inB == 0.0
-    assert es.T_lambda == 0.75
-    assert es.T_rho == 0.25
+    assert es["T_rot"] == 0.5
+    assert es["T_K"] == 0.25
+    assert es["T_ac"] == 0.0
+    assert es["E_inB"] == 0.0
+    assert es["T_lambda"] == 0.75
+    assert es["T_rho"] == 0.25
 
 
 def approx(a, b):
@@ -27,43 +27,43 @@ def test_plane_general_form():
     for n_particles in (3, 7, 50):
         nu = n_particles - 1
         es = conjecture_means(2, n_particles)
-        assert approx(es.T_lambda, 1 - 0.5 / nu)
-        assert approx(es.T_rho, 0.5 / nu)
-        assert approx(es.T_rot, 1 - 1.0 / nu)
-        assert approx(es.T_I, 1.0 / nu)
-        assert approx(es.T_xi, 0.5 / nu)
-        assert approx(es.T_ext, 0.5 / nu)
-        assert approx(es.T_int, 1 - 1.5 / nu)
-        assert approx(es.T_J, 0.5 / nu)
-        assert approx(es.T_K, (nu - 1) / (2.0 * nu))
-        assert approx(es.T_ac, (nu - 2) / (2.0 * nu))
-        assert es.E_outB == 0.0
-        assert approx(es.E_inB, 1 - 2.0 / nu)
+        assert approx(es["T_lambda"], 1 - 0.5 / nu)
+        assert approx(es["T_rho"], 0.5 / nu)
+        assert approx(es["T_rot"], 1 - 1.0 / nu)
+        assert approx(es["T_I"], 1.0 / nu)
+        assert approx(es["T_xi"], 0.5 / nu)
+        assert approx(es["T_ext"], 0.5 / nu)
+        assert approx(es["T_int"], 1 - 1.5 / nu)
+        assert approx(es["T_J"], 0.5 / nu)
+        assert approx(es["T_K"], (nu - 1) / (2.0 * nu))
+        assert approx(es["T_ac"], (nu - 2) / (2.0 * nu))
+        assert es["E_outB"] == 0.0
+        assert approx(es["E_inB"], 1 - 2.0 / nu)
         # T_rho = T_xi = T_ext on the plane for N >= 3
-        assert es.T_rho == es.T_xi == es.T_ext
+        assert es["T_rho"] == es["T_xi"] == es["T_ext"]
 
 
 def test_space_four_particles():
     es = conjecture_means(3, 4)
-    assert abs(es.T_ext - 1.0 / 3.0) <= 1e-15
-    assert es.E_outB == 0.0
+    assert abs(es["T_ext"] - 1.0 / 3.0) <= 1e-15
+    assert es["E_outB"] == 0.0
 
 
 def test_examples_from_acceptance_grid():
-    assert conjecture_means(2, 5).T_K == 3.0 / 8.0
-    assert abs(conjecture_means(2, 10).E_inB - 7.0 / 9.0) <= 1e-15
+    assert conjecture_means(2, 5)["T_K"] == 3.0 / 8.0
+    assert abs(conjecture_means(2, 10)["E_inB"] - 7.0 / 9.0) <= 1e-15
 
 
 def test_two_particles_any_dimension():
     for d in (1, 2, 3, 7):
         es = conjecture_means(d, 2)
-        assert es.T_rho == 1.0 / d
-        assert es.T_rot == (d - 1) / d if d > 1 else es.T_rot == 0.0
-        assert es.T_int == 0.0
-        assert es.T_K == 0.0
-        assert es.T_xi == 0.0
-        assert es.E_inB == 0.0
-        assert es.T_ext == es.T_J == (d - 1) / d
+        assert es["T_rho"] == 1.0 / d
+        assert es["T_rot"] == (d - 1) / d if d > 1 else es["T_rot"] == 0.0
+        assert es["T_int"] == 0.0
+        assert es["T_K"] == 0.0
+        assert es["T_xi"] == 0.0
+        assert es["E_inB"] == 0.0
+        assert es["T_ext"] == es["T_J"] == (d - 1) / d
 
 
 def test_exact_identities_over_grid():

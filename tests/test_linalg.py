@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kinpart import random_orthogonal, substream, svd
+from kinpart import substream, svd
 from kinpart.linalg import _complete_orthonormal, _lane_sum, jacobi_orthogonalize
 
 
@@ -177,31 +177,6 @@ def test_complete_orthonormal_contract(length, m, zero):
     kept = np.sum(thin * thin, axis=0) > 0.5
     assert full[:, :m][:, kept].tobytes() == thin[:, kept].tobytes()
     assert np.max(np.abs(full.T @ full - np.eye(length))) <= 1e-12
-
-
-def test_random_orthogonal_dim1():
-    rng = substream(1, 10)
-    values = {float(random_orthogonal(1, rng)[0, 0]) for _ in range(40)}
-    assert values <= {1.0, -1.0}
-    assert len(values) == 2
-
-
-def test_random_orthogonal_is_orthogonal():
-    rng = substream(1, 11)
-    for dim in (1, 2, 3, 7):
-        q = random_orthogonal(dim, rng)
-        assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-12
-
-
-def test_random_orthogonal_first_entry_moment():
-    # First column is uniform on S^3, so E[Q11^2] = 1/4 with
-    # Var = E[x^4] - 1/16 = 3/(4*6) - 1/16 = 1/16; 3*SE at 10^4 draws = 0.0075.
-    rng = substream(1, 12)
-    draws = 10_000
-    acc = 0.0
-    for _ in range(draws):
-        acc += random_orthogonal(4, rng)[0, 0] ** 2
-    assert abs(acc / draws - 0.25) <= 0.0075
 
 
 def spread_terms(rng, shape):

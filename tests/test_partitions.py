@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from frames import haar, reduction_frame
 from kinpart import (
-    compute_partition, eigenvector_split_oracle, kinematic_reduction_frame,
-    momenta_direct, partition_batch, project_oracle, random_orthogonal,
-    sample_system_block, substream, svd_rates,
+    compute_partition, eigenvector_split_oracle, momenta_direct,
+    partition_batch, project_oracle, sample_system_block, substream,
+    svd_rates,
 )
 from kinpart._batch import MOMENTA, TERMS, ZERO_TOL
 
@@ -55,8 +56,8 @@ def test_svd_rates_near_rank_drop_match_engine():
     rng = substream(3, 16)
     for n in (2, 4):
         for _ in range(5):
-            a = random_orthogonal(n, rng)
-            b = random_orthogonal(n, rng)
+            a = haar(n, rng)
+            b = haar(n, rng)
             z = a @ np.diag(np.append(np.linspace(1.0, 0.5, n - 1), 1e-9)) @ b.T
             zdot = rng.standard_normal((n, n))
             direct = momenta_direct(MASS, z, zdot, *svd_rates(z, zdot))
@@ -314,7 +315,7 @@ def system_with_singular_values(rng, d, n_particles, values):
     """Z = U diag(values) V^T with Haar U and V, and a Gaussian Zdot."""
     sigma = np.zeros((d, n_particles))
     np.fill_diagonal(sigma, values)
-    z = random_orthogonal(d, rng) @ sigma @ random_orthogonal(n_particles, rng).T
+    z = haar(d, rng) @ sigma @ haar(n_particles, rng).T
     return z, rng.standard_normal((d, n_particles))
 
 
@@ -403,8 +404,8 @@ def test_orthogonal_invariance_of_all_terms():
     rng = substream(3, 5)
     for d, n_particles in ((2, 5), (3, 3), (5, 8), (1, 4)):
         z, zdot, _ = sample_system_block(d, n_particles, "random", rng, 8)
-        r = random_orthogonal(d, rng)
-        q = random_orthogonal(n_particles, rng)
+        r = haar(d, rng)
+        q = haar(n_particles, rng)
         res = partition_batch(MASS, z, zdot)
         res_t = partition_batch(
             MASS,
@@ -445,7 +446,7 @@ def test_reduction_consistency():
     for d, n_particles, mode in ((2, 4, "equal"), (3, 5, "random"), (1, 3, "random")):
         z, zdot, masses = sample_system_block(d, n_particles, mode, rng, 6)
         for i in range(z.shape[0]):
-            frame = kinematic_reduction_frame(masses[i])
+            frame = reduction_frame(masses[i])
             zq = z[i] @ frame.T
             zdq = zdot[i] @ frame.T
             assert np.max(np.abs(zq[:, -1])) <= 1e-10
@@ -487,8 +488,8 @@ def test_degenerate_flag_and_surviving_identities():
     # equal singular values: flagged, but the Smith / orthogonal / momentum
     # partitions still hold
     rng = substream(3, 10)
-    q1 = random_orthogonal(3, rng)
-    q2 = random_orthogonal(3, rng)
+    q1 = haar(3, rng)
+    q2 = haar(3, rng)
     z = q1 @ np.diag([0.7, 0.7, 0.1411]) @ q2.T
     z /= np.sqrt(np.sum(z * z))
     zdot = rng.standard_normal((3, 3))
@@ -506,6 +507,20 @@ def test_degenerate_flag_and_surviving_identities():
 def test_zero_hyperradius_rejected():
     with pytest.raises(ValueError):
         compute_partition(MASS, np.zeros((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("mass, shape, match", [
+    (-2.0, (2, 4), "mass"), (0.0, (2, 4), "mass"), (np.nan, (2, 4), "mass"),
+    (np.inf, (2, 4), "mass"), (MASS, (0, 3), "no entries"),
+])
+def test_invalid_mass_or_empty_z_refused(mass, shape, match):
+    rng = substream(3, 20)
+    z, zdot = rng.standard_normal(shape), rng.standard_normal(shape)
+    with pytest.raises(ValueError, match=match):
+        compute_partition(mass, z, zdot)
+    if z.size:
+        with pytest.raises(ValueError, match=match):
+            partition_batch(mass, z[None], zdot[None])
 
 
 def test_batch_rejects_non_finite_input():
