@@ -142,6 +142,11 @@ def _frame_rates(zdot, dmat, xmat):
     return w, rtail, np.zeros_like(rtail)
 
 
+def _check_mass(mass):
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be finite and > 0, got {mass!r}")
+
+
 def partition_batch(mass, z, zdot):
     """All 19 terms, 4 squared momenta, and degeneracy flags for a stack.
 
@@ -151,8 +156,7 @@ def partition_batch(mass, z, zdot):
     zero hyperradius, or a system whose z2 or z2 * zd2 is not a normal
     double (zdot == 0 is accepted).
     """
-    if not (np.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be finite and > 0, got {mass!r}")
+    _check_mass(mass)
     z = np.asarray(z, dtype=float)
     zdot = np.asarray(zdot, dtype=float)
     if z.ndim != 3 or z.shape != zdot.shape:

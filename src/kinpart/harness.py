@@ -8,9 +8,9 @@ configuration no matter how many workers process the blocks.  They run
 largest N first, in this process with one worker or one job, else on one
 pool of min(KINPART_THREADS, jobs, usable CPUs) forked worker processes.
 
-Within a block, the draws are taken whole first (ensemble.draw_systems);
-then chunks of at most max(1, CHUNK_ENTRIES // (d * N)) systems go through
-the sampler's per-row geometry and the partition engine in index order.
+Within a block, ensemble.draw_systems takes the draws whole first, then
+yields chunks of at most max(1, CHUNK_ENTRIES // (d * N)) systems in index
+order, and each chunk goes through the partition engine as it comes.
 The chunks' terms are concatenated and StatAccumulator.from_block runs on
 the whole block, one stack of rows for the expansion terms and one for the
 rest, so no sum and no CSV byte depends on the chunk size.
@@ -270,14 +270,11 @@ def _derived_arrays(res):
 def _block_summary(d, N, mode, seed, block_index, count):
     """Per-term StatAccumulators for one block of systems."""
     rng = substream(seed, MODE_CODES[mode], d, N, block_index)
-    draws = draw_systems(d, N, mode, rng, count)
     step = max(1, CHUNK_ENTRIES // (d * N))
-    chunks = []
-    for lo in range(0, count, step):
-        # The masses are dropped at once, so they are freed before the
-        # engine's temporaries are allocated.
-        z, zdot = draws.rows(lo, min(lo + step, count))[:2]
-        chunks.append(partition_batch(2.0, z, zdot))
+    # In random mode a chunk's masses and their scale factors, at most
+    # CHUNK_ENTRIES // d doubles each, stay alive while the engine runs.
+    chunks = [partition_batch(2.0, z, zdot)
+              for z, zdot, _ in draw_systems(d, N, mode, rng, count, step)]
     res = {key: np.concatenate([chunk[key] for chunk in chunks])
            for key in chunks[0]}
     values = _derived_arrays(res)

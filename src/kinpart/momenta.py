@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._batch import _check_mass
+
 
 @dataclass(frozen=True)
 class MomentaResult:
@@ -62,6 +64,7 @@ def momenta_direct(mass, z, zdot, xi, xidot):
     column sums, Lambda from all dn(dn-1)/2 minors of the flattened pair,
     L from the singular-value minors.  Quadratic cost; oracle use only.
     """
+    _check_mass(mass)
     z, zdot, xi, xidot = _check_shapes(z, zdot, xi, xidot)
     jcomp = np.einsum("ia,ja->ij", z, zdot)
     j2 = mass * mass * _pair_square_sum(jcomp)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import (
-    BATCH_FIELDS, GAP_TOL, TERMS, ZERO_TOL, _lanes, _slab_sum, _thin_svd,
-    partition_batch,
+    BATCH_FIELDS, GAP_TOL, TERMS, ZERO_TOL, _check_mass, _lanes, _slab_sum,
+    _thin_svd, partition_batch,
 )
 from .linalg import _complete_orthonormal
 from .momenta import MomentaResult
@@ -238,6 +238,7 @@ def project_oracle(mass, z, zdot):
     When the condition fails the split is skipped and flagged.  Z is
     rescaled by a power of two first: the terms do not depend on its scale.
     """
+    _check_mass(mass)
     z = _unit_scaled(z, zdot)[0]
     target = np.asarray(zdot, dtype=float).ravel()
     xi = np.linalg.svd(z, compute_uv=False)
@@ -287,6 +288,7 @@ def eigenvector_split_oracle(mass, z, zdot):
     values.  Z is rescaled by a power of two first, so lambda = xi^2 cannot
     underflow or overflow: the terms do not depend on its scale.
     """
+    _check_mass(mass)
     z = _unit_scaled(z, zdot)[0]
     zdot = np.asarray(zdot, dtype=float)
     u, xi, vt = np.linalg.svd(z)

@@ -155,6 +155,23 @@ def test_criterion_5_aggregate_discrepancy_full():
 
 
 @pytest.mark.expensive
+@pytest.mark.parametrize("d", [3, 4])
+def test_criterion_2_full_sweep_in_space(d):
+    # The paper's companion study, d = 3 at 3 <= N <= 100, and d = 4.  A
+    # sweep makes about 1,300 checks; at 5 sigma the chance that any of
+    # them fails on working code is below 1e-3, so none may.
+    reports = kp.run_experiment(d, 3, 100, SAMPLES, "equal", SEED)
+    checks, summary = kp.verify_report(kp.report_rows(reports), sigma_threshold=5.0)
+    failures = [(c.N, c.term, c.kind, c.sigma_ratio) for c in checks if not c.passed]
+    worst = max(statistical_ratio(c) for c in checks)
+    announce(2, not failures,
+             f"d={d} equal masses, N=3..100: {summary['checks']} checks within 5 "
+             f"standard errors (worst ratio {worst:.2f}; mean |diff| "
+             f"{summary['mean_abs_diff']:.3e}, max weighted "
+             f"{summary['max_weighted_diff']:.3e}; failures {failures})")
+
+
+@pytest.mark.expensive
 def test_criterion_6_residual_magnitude_point_values():
     targets = {"equal": 0.168796, "random": 0.146767}
     failures = []

@@ -303,6 +303,24 @@ def test_simulate_chunked_blocks_keep_their_bytes(tmp_path, capsys):
         "d139d59f20655586e56232ed2fe86e5577fa8df49e0eaf16610d8924767bedab")
 
 
+@pytest.mark.parametrize("d, n_min, n_max, samples, masses, seed, digest", [
+    ("1", "2", "12", "5000", "equal", "2",
+     "617f54ee6955502732155e2c9726cdf2bd179e94638fbe01d5f1a7176bfd8aae"),
+    ("3", "3", "8", "4096", "random", "5",
+     "64e147650538fce0fc676a574ec403f462f53bfefc3183189757b23e91a730a2"),
+    # At d >= 8 the sampler's Gaussian row norms are summed pairwise.
+    ("9", "2", "12", "3000", "random", "5",
+     "d355fb0f31511271213c62a5f8eb8d778cd934d6aafc6eda5000a5b94825d6ca"),
+], ids=["d1", "d3", "d9"])
+def test_simulate_keeps_its_bytes(tmp_path, capsys, d, n_min, n_max, samples,
+                                  masses, seed, digest):
+    out = tmp_path / "run.csv"
+    assert run_cli(capsys, "simulate", "--d", d, "--n-min", n_min, "--n-max", n_max,
+                   "--samples", samples, "--masses", masses, "--seed", seed,
+                   "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_simulate_space_e_out_b_expected_zero(tmp_path, capsys):
     out = str(tmp_path / "d3.csv")
     code, _, _ = run_cli(capsys, "simulate", "--d", "3", "--n-min", "4",

@@ -4,21 +4,22 @@ import pytest
 from frames import reduction_frame
 from kinpart import partition_batch, sample_system_block, substream
 from kinpart import ensemble
-from kinpart.ensemble import (
-    _ball_points, _ball_size, _draw_ball, _draw_sphere, _row_norms,
-    _sphere_points, _sphere_shape, draw_systems,
-)
+from kinpart.ensemble import _ball_points, _draw_ball, _row_norms, draw_systems
+
+
+def ball_points(rng, count, d, kappa=None):
+    """count ball points as (count, d), through the sampler's own draw and
+    geometry (count systems of one point each); a given kappa replaces
+    every drawn one."""
+    sphere, drawn = _draw_ball(rng, count, d, np.empty(count * (2 if d == 2 else d + 1)))
+    if kappa is not None:
+        drawn[:] = kappa
+    return _ball_points(sphere, drawn, d, 1)[0].T
 
 
 def sphere_points(rng, count, d):
-    """count sphere points, through the sampler's own draw and geometry."""
-    return _sphere_points(_draw_sphere(rng, d, np.empty(_sphere_shape(count, d))), d)
-
-
-def ball_points(rng, count, d):
-    """count ball points as (count, d), through the sampler's own draw and
-    geometry (count systems of one point each)."""
-    return _ball_points(*_draw_ball(rng, count, d, np.empty(_ball_size(count, d))), d, 1)[0].T
+    """count sphere points, as ball points of radius kappa = 1."""
+    return ball_points(rng, count, d, kappa=1.0)
 
 
 def test_sphere_unit_norm():
@@ -128,11 +129,17 @@ def test_rows_in_chunks_match_one_block(monkeypatch, d, n_particles, mode):
     # gives the same systems bit for bit.
     monkeypatch.setattr(ensemble, "_UNDERFLOW", 0.6)
     count = 50
-    whole = sample_system_block(d, n_particles, mode, substream(4, 12, d), count)
-    draws = draw_systems(d, n_particles, mode, substream(4, 12, d), count)
-    drawn_state = draws.rng.bit_generator.state
-    chunks = [draws.rows(lo, min(lo + 7, count)) for lo in range(0, count, 7)]
-    assert draws.rng.bit_generator.state != drawn_state  # something was redrawn
+    whole_rng = substream(4, 12, d)
+    whole = sample_system_block(d, n_particles, mode, whole_rng, count)
+    redraws = []
+    sample = ensemble.sample_system_block
+    monkeypatch.setattr(ensemble, "sample_system_block",
+                        lambda *args: redraws.append(args[3]) or sample(*args))
+    rng = substream(4, 12, d)
+    chunks = list(draw_systems(d, n_particles, mode, rng, count, 7))
+    assert [len(chunk[0]) for chunk in chunks] == [7] * 7 + [1]
+    assert redraws and all(r is rng for r in redraws)  # something was redrawn
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
     for parts, want in zip(zip(*chunks), whole):
         if parts[0] is None:  # equal masses are left to sample_system_block
             assert mode == "equal"
@@ -150,6 +157,8 @@ def test_bad_arguments():
         sample_system_block(0, 3, "equal", rng, 1)
     with pytest.raises(ValueError):
         sample_system_block(2, 3, "gaussian", rng, 1)
+    with pytest.raises(ValueError, match="count"):
+        sample_system_block(2, 3, "equal", rng, 0)
 
 
 def test_reduction_frame_properties():

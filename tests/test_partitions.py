@@ -349,6 +349,51 @@ def test_near_repeated_singular_values_match_oracles(d, n_particles, eps):
         assert_engine_matches_oracles(z, zdot, 2e-15 / eps, 1e-12 / eps)
 
 
+def rotation_generators(z):
+    """The flattened generators (E_pq - E_qp) Z and Z (E_ab - E_ba), p < q,
+    a < b, as columns; each entry is an entry of z or its negative."""
+    d, n = z.shape
+    columns = {"rot": [], "kin": []}
+    for side, size in (("rot", d), ("kin", n)):
+        for p in range(size):
+            for q in range(p + 1, size):
+                g = np.zeros((d, n))
+                if side == "rot":
+                    g[p], g[q] = z[q], -z[p]
+                else:
+                    g[:, q], g[:, p] = z[:, p], -z[:, q]
+                columns[side].append(g.ravel())
+    return np.array(columns["rot"]).T, np.array(columns["kin"]).T
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("d, n_particles", [(2, 3), (3, 4)])
+def test_near_repeated_projections_match_high_precision(d, n_particles, eps):
+    # The engine's own accuracy, xi_1 / xi_2 = 1 + eps: T_ext, T_int and
+    # T_rot against projections taken in 50 digits from the entries of Z
+    # and Zdot, on bases from a QR of the rotation spans.  Z has no
+    # two-dimensional kernel at these shapes, so the spans have full rank;
+    # the joint span's smallest R diagonal is of order eps, far above the
+    # roundoff of 50 digits.
+    mpmath = pytest.importorskip("mpmath")
+    rng = substream(3, 22, d, n_particles)
+    values = np.concatenate([[1.0 + eps, 1.0], np.linspace(0.6, 0.3, min(d, n_particles) - 2)])
+    for _ in range(4):
+        z, zdot = system_with_singular_values(rng, d, n_particles, values)
+        res = compute_partition(MASS, z, zdot)
+        rot, kin = rotation_generators(z)
+        with mpmath.workdps(50):
+            target = mpmath.matrix(zdot.ravel().tolist())
+            for name, span in (("T_ext", rot), ("T_int", kin),
+                               ("T_rot", np.concatenate([rot, kin], axis=1))):
+                q, r = mpmath.qr(mpmath.matrix(span.tolist()), mode="skinny")
+                assert min(abs(r[i, i]) for i in range(r.cols)) > 1e-25
+                y = q.T * target
+                exact = MASS / 2 * mpmath.fsum(v * v for v in y)
+                gap = abs(getattr(res, name) - exact) / exact
+                assert gap <= 2e-15 / eps, (name, float(gap))
+
+
 @pytest.mark.parametrize("ratio", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-13, 1e-14])
 @pytest.mark.parametrize("d, n_particles", [(2, 3), (3, 5), (3, 3)])
 def test_near_rank_drop_matches_oracles(d, n_particles, ratio):
@@ -521,6 +566,18 @@ def test_invalid_mass_or_empty_z_refused(mass, shape, match):
     if z.size:
         with pytest.raises(ValueError, match=match):
             partition_batch(mass, z[None], zdot[None])
+
+
+@pytest.mark.parametrize("mass", [-2.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("oracle", [project_oracle, eigenvector_split_oracle,
+                                    momenta_direct])
+def test_oracles_refuse_invalid_mass(oracle, mass):
+    z, zdot, _ = sample_system_block(2, 4, "equal", substream(3, 21), 1)
+    args = (z[0], zdot[0])
+    if oracle is momenta_direct:
+        args += svd_rates(z[0], zdot[0])
+    with pytest.raises(ValueError, match="mass must be finite and > 0"):
+        oracle(mass, *args)
 
 
 def test_batch_rejects_non_finite_input():

@@ -16,7 +16,7 @@ import pytest
 from kinpart import compute_partition, partition_batch, sample_system_block, substream
 from kinpart._batch import BATCH_FIELDS, _frame_rates, _lanes, _slab_sum, _thin_svd
 from kinpart.ensemble import (
-    RANDOM_MASSES, TOTAL_MASS, _UNDERFLOW, _ball_points, _ball_size, _draw_ball,
+    RANDOM_MASSES, TOTAL_MASS, _UNDERFLOW, _ball_points, _draw_ball,
 )
 from kinpart.linalg import _COLUMN_FREEZE, _JACOBI_TOL, _MAX_SWEEPS, jacobi_orthogonalize
 
@@ -28,7 +28,7 @@ MODES = ("equal", "random")
 def reference_sample(d, N, mode, rng, count):
     """Same draws as sample_system_block, centred and scaled out of place."""
     def ball():
-        buf = np.empty(_ball_size(count * N, d))
+        buf = np.empty(count * N * (2 if d == 2 else d + 1))
         points = _ball_points(*_draw_ball(rng, count * N, d, buf), d, N)
         return np.ascontiguousarray(points.transpose(2, 0, 1))
 
