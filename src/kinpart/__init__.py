@@ -18,10 +18,10 @@ from .harness import (
     StatAccumulator, TermReport, RunReport, report_rows, run_experiment,
     run_single, verify_report,
 )
-from .momenta import MomentaResult, momenta_direct, momenta_fast
 from .partitions import (
-    PartitionResult, SvdFactors, compute_partition,
-    eigenvector_split_oracle, project_oracle, svd, svd_rates,
+    MomentaResult, PartitionResult, SvdFactors, compute_partition,
+    eigenvector_split_oracle, momenta_direct, momenta_fast, project_oracle,
+    svd, svd_rates,
 )
 
 __version__ = "0.1.0"

@@ -27,9 +27,9 @@ import numpy as np
 from ._batch import GAP_TOL, MOMENTA, ZERO_TOL
 from .ensemble import MASS_MODES, TOTAL_MASS, sample_system_block, substream
 from .harness import CSV_COLUMNS, report_rows, run_experiment, verify_report
-from .momenta import momenta_direct
 from .partitions import (
-    compute_partition, eigenvector_split_oracle, project_oracle, svd_rates,
+    _unit_scaled, compute_partition, eigenvector_split_oracle, momenta_direct,
+    project_oracle, svd_rates,
 )
 
 CSV_FORMAT = "kinpart-simulate-csv/1"
@@ -64,14 +64,15 @@ def load_system_file(path):
         velocities = np.asarray(doc["velocities"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in {path}") from exc
-    if masses.ndim != 1 or np.any(masses <= 0.0):
-        raise ValueError("masses must be positive reals")
+    with np.errstate(over="ignore"):  # checked just below
+        total = float(np.sum(masses))
+    if masses.ndim != 1 or not (np.all(masses > 0.0) and np.isfinite(total)):
+        raise ValueError("masses must be finite and > 0, with a finite sum")
     n = masses.size
     if positions.ndim != 2 or positions.shape[0] != n:
         raise ValueError(f"positions must be {n} arrays of equal length")
     if velocities.shape != positions.shape:
         raise ValueError("velocities must match the shape of positions")
-    total = float(np.sum(masses))
     scale = np.sqrt(masses / total)
     z = (positions * scale[:, None]).T
     zdot = (velocities * scale[:, None]).T
@@ -81,14 +82,19 @@ def load_system_file(path):
 def cmd_partition(args):
     total, z, zdot = load_system_file(args.input)
     result = compute_partition(total, z, zdot)
-    out = {"M": total, "rho": float(np.sqrt(np.sum(z * z))), "d": z.shape[0],
-           "N": z.shape[1]}
+    # rho from the rescaled Z, so z * z cannot overflow at any scale.
+    z_unit, z_exp = _unit_scaled(z)
+    with np.errstate(over="ignore"):  # checked just below
+        rho = float(np.ldexp(np.sqrt(np.sum(z_unit * z_unit)), z_exp))
+    if not np.isfinite(rho):
+        raise ValueError("rho beyond the double range")
+    out = {"M": total, "rho": rho, "d": z.shape[0], "N": z.shape[1]}
     out.update(result.terms())
     # Momenta beyond the double range print as null.
     out.update(dataclasses.asdict(result.momenta) if result.momenta is not None
                else dict.fromkeys(MOMENTA))
     out["degenerate"] = result.degenerate
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))
     return 0
 
 

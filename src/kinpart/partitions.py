@@ -11,19 +11,29 @@ computed:
   T_rot = E_out + E_in + E_c      direct-sum split in the SVD frame,
                                   refined into E_outA/B and E_inA/B
 
+together with four squared hyperangular momenta: J, the physical angular
+momentum, K its kinematic dual, Lambda the grand angular momentum built
+from every 2x2 minor of the pair (Z, Zdot), and L the singular angular
+momentum built from the singular values and their rates.
+
 compute_partition evaluates one system as a batch of one of the engine in
 kinpart._batch, so a single system and a sampled block share every line
 of the arithmetic.  svd is the engine's thin SVD of one matrix completed
 to full orthogonal factors.  The oracles exist to keep the engine honest:
 project_oracle recomputes the projections by explicit least squares over
 spanning sets of the tangent spaces, eigenvector_split_oracle the
-E_out/E_in refinements by eigenvector perturbation theory, and svd_rates
-the singular values and their rates, which momenta_direct needs for L.
-Each takes its bases from one LAPACK SVD per matrix (np.linalg.svd), never
-from the Jacobi SVD they check and never from a Gram matrix, whose
-eigenvectors would square the condition number near repeated singular
-values (Bjorck, Numerical Methods for Least Squares Problems, 1996, 1.4
-and 2.7).  All of them cut singular values at the engine's ZERO_TOL * xi_1.
+E_out/E_in refinements by eigenvector perturbation theory, svd_rates
+the singular values and their rates, and momenta_direct the momenta from
+their defining component sums, with L from svd_rates' xi and xidot.
+momenta_fast evaluates the momenta's Gram-matrix forms, whose cost stays
+linear in the number of columns.  The oracles take their bases from one
+LAPACK SVD per matrix (np.linalg.svd), never from the Jacobi SVD they
+check and never from a Gram matrix, whose eigenvectors would square the
+condition number near repeated singular values (Bjorck, Numerical Methods
+for Least Squares Problems, 1996, 1.4 and 2.7).  All of them cut singular
+values at the engine's ZERO_TOL * xi_1.  Every entry point here takes its
+matrices through one gate, _unit_scaled, which refuses input that is not
+a non-empty, finite 2-d matrix and rescales the rest by powers of two.
 """
 
 from dataclasses import dataclass
@@ -35,9 +45,24 @@ from ._batch import (
     _thin_svd, partition_batch,
 )
 from .linalg import _complete_orthonormal
-from .momenta import MomentaResult
-# Not called here: perfbench/spans.py wraps kinpart.partitions.momenta_fast.
-from .momenta import momenta_fast  # noqa: F401
+
+
+def _unit_scaled(*mats):
+    """Each matrix rescaled by a power of two, which is exact, to entries in
+    [1/2, 1), followed by the exponents that scale them back.  Raises
+    ValueError unless the matrices share one non-empty 2-d shape and every
+    entry is finite."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    shape = mats[0].shape
+    if len(shape) != 2 or any(m.shape != shape for m in mats):
+        raise ValueError("expected 2-d matrices of one shape, got "
+                         + " vs ".join(str(m.shape) for m in mats))
+    if mats[0].size == 0:
+        raise ValueError(f"Z has no entries, shape {shape}")
+    if not all(np.all(np.isfinite(m)) for m in mats):
+        raise ValueError("non-finite entries")
+    exps = [np.frexp(np.max(np.abs(m)))[1] for m in mats]
+    return (*(np.ldexp(m, -e) for m, e in zip(mats, exps)), *exps)
 
 
 @dataclass(frozen=True)
@@ -65,13 +90,8 @@ def svd(z):
     other columns follow the same convention on their own.  Raises
     ValueError on input that is not a non-empty, finite 2-d matrix.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("matrix has non-finite entries")
-    _, exp = np.frexp(np.max(np.abs(z)))
-    lanes = _lanes(np.ldexp(z, -exp)[None])
+    z, exp = _unit_scaled(z)
+    lanes = _lanes(z[None])
     xi, dmat, xmat = _thin_svd(lanes, _slab_sum(lanes, lanes))
     xi, dmat, xmat = np.ldexp(xi[:, 0], exp), dmat[:, :, 0].T, xmat[:, :, 0].T
     if dmat.shape[1] < dmat.shape[0]:
@@ -91,6 +111,16 @@ def svd(z):
         if negative(xmat[:, j]):
             xmat[:, j] = -xmat[:, j]
     return SvdFactors(D=dmat, xi=xi, X=xmat)
+
+
+@dataclass(frozen=True)
+class MomentaResult:
+    """Squared momenta J^2, K^2, Lambda^2, L^2 (all non-negative)."""
+
+    J2: float
+    K2: float
+    Lambda2: float
+    L2: float
 
 
 @dataclass(frozen=True)
@@ -122,23 +152,6 @@ class PartitionResult:
     def terms(self):
         """The 19 energy terms as an ordered name -> value dict."""
         return {name: getattr(self, name) for name in TERMS}
-
-
-def _unit_scaled(z, zdot):
-    """z and zdot rescaled by powers of two, which is exact, to entries in
-    [1/2, 1), with the two exponents that scale them back.  Raises
-    ValueError on mismatched shapes, an empty Z or non-finite entries."""
-    z = np.asarray(z, dtype=float)
-    zdot = np.asarray(zdot, dtype=float)
-    if z.ndim != 2 or z.shape != zdot.shape:
-        raise ValueError(f"shape mismatch: Z {z.shape} vs Zdot {zdot.shape}")
-    if z.size == 0:
-        raise ValueError(f"Z has no entries, shape {z.shape}")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zdot))):
-        raise ValueError("non-finite entries")
-    _, z_exp = np.frexp(np.max(np.abs(z)))
-    _, zdot_exp = np.frexp(np.max(np.abs(zdot)))
-    return np.ldexp(z, -z_exp), np.ldexp(zdot, -zdot_exp), z_exp, zdot_exp
 
 
 def compute_partition(mass, z, zdot):
@@ -224,6 +237,90 @@ def svd_rates(z, zdot):
     u, xi, vt = np.linalg.svd(z, full_matrices=False)
     xidot = np.where(xi > ZERO_TOL * xi[0], np.sum(u * (zdot @ vt.T), axis=0), 0.0)
     return np.ldexp(xi, z_exp), np.ldexp(xidot, zdot_exp)
+
+
+def _momenta_inputs(mass, z, zdot, xi, xidot):
+    """mass, z and zdot through the checks every entry point makes, then one
+    length and finiteness check on xi and xidot; returns the four arrays
+    as given, as floats, unscaled."""
+    _check_mass(mass)
+    _unit_scaled(z, zdot)
+    z, zdot, xi, xidot = (np.asarray(a, dtype=float) for a in (z, zdot, xi, xidot))
+    m = min(z.shape)
+    if xi.shape != (m,) or xidot.shape != (m,):
+        raise ValueError(f"expected {m} singular values and rates")
+    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xidot))):
+        raise ValueError("non-finite singular values or rates")
+    return z, zdot, xi, xidot
+
+
+def _pair_square_sum(outer):
+    """Sum of (outer[p, q] - outer[q, p])^2 over index pairs p < q."""
+    p, q = np.triu_indices(outer.shape[0], k=1)
+    minors = outer[p, q] - outer[q, p]
+    return float(np.sum(minors * minors))
+
+
+def singular_momentum_squared(mass, xi, xidot):
+    """L^2 = sum over sigma < tau of M^2 (xi_s xidot_t - xi_t xidot_s)^2."""
+    return mass * mass * _pair_square_sum(np.outer(xi, xidot))
+
+
+def momenta_direct(mass, z, zdot, xi, xidot):
+    """All four squared momenta from their defining component sums.
+
+    J from the d(d-1)/2 antisymmetrized row sums, K from the n(n-1)/2
+    column sums, Lambda from all dn(dn-1)/2 minors of the flattened pair,
+    L from the singular-value minors of xi and xidot (svd_rates).
+    Quadratic cost; oracle use only.  Raises ValueError on a mass that is
+    not finite and > 0, on z and zdot that the gate refuses, and on xi or
+    xidot that are not min(d, n) finite values.
+    """
+    z, zdot, xi, xidot = _momenta_inputs(mass, z, zdot, xi, xidot)
+    jcomp = np.einsum("ia,ja->ij", z, zdot)
+    j2 = mass * mass * _pair_square_sum(jcomp)
+    kcomp = np.einsum("ia,ib->ab", z, zdot)
+    k2 = mass * mass * _pair_square_sum(kcomp)
+    # Row-major flattening orders the index pairs (i, alpha) exactly as the
+    # condition "i < j, or i = j and alpha < beta" requires.
+    lam2 = mass * mass * _pair_square_sum(np.outer(z.ravel(), zdot.ravel()))
+    l2 = singular_momentum_squared(mass, xi, xidot)
+    return MomentaResult(J2=j2, K2=k2, Lambda2=lam2, L2=l2)
+
+
+def momenta_fast(mass, z, zdot, xi, xidot):
+    """All four squared momenta from the Gram-matrix forms.
+
+    J^2 from the n x n Gram matrices over rows, K^2 from the d x d Gram
+    matrices over columns, Lambda^2 from Frobenius norms and the inner
+    product alone.  Values are clamped at zero against roundoff in the
+    cancellations.  Refuses input as momenta_direct does.
+    """
+    z, zdot, xi, xidot = _momenta_inputs(mass, z, zdot, xi, xidot)
+    m2 = mass * mass
+
+    g1 = np.einsum("ia,ib->ab", z, z)
+    g2 = np.einsum("ia,ib->ab", z, zdot)
+    g3 = np.einsum("ia,ib->ab", zdot, zdot)
+    j2 = m2 * (float(np.sum(g1 * g3)) - float(np.sum(g2 * g2.T)))
+
+    d1 = np.einsum("ia,ja->ij", z, z)
+    d2 = np.einsum("ia,ja->ij", z, zdot)
+    d3 = np.einsum("ia,ja->ij", zdot, zdot)
+    k2 = m2 * (float(np.sum(d1 * d3)) - float(np.sum(d2 * d2.T)))
+
+    z2 = float(np.sum(z * z))
+    zd2 = float(np.sum(zdot * zdot))
+    inner = float(np.sum(z * zdot))
+    lam2 = m2 * (z2 * zd2 - inner * inner)
+
+    l2 = singular_momentum_squared(mass, xi, xidot)
+    return MomentaResult(
+        J2=max(j2, 0.0),
+        K2=max(k2, 0.0),
+        Lambda2=max(lam2, 0.0),
+        L2=l2,
+    )
 
 
 def project_oracle(mass, z, zdot):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,40 @@ def test_partition_bad_inputs(tmp_path, capsys):
                velocities=[[0.0, 0.0], [0.0, 0.0]])
     code, _, err = run_cli(capsys, "partition", "--input", write_system(tmp_path, doc))
     assert code == 2 and "hyperradius" in err
+    # NaN passes a "<= 0" test; Infinity, or a sum past the double range,
+    # made M infinite and warned
+    for masses in ([1.0, float("nan")], [1.0, float("inf")], [1e308, 1e308]):
+        doc = dict(TWO_PARTICLE_RIGHT_ANGLE, masses=masses)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "partition", "--input",
+                                     write_system(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err.startswith("error: masses must be finite and > 0")
+
+
+def test_partition_prints_strict_json_with_finite_rho_at_large_scale(tmp_path, capsys):
+    # rho = 1e200 is a double, though rho^2 is not
+    doc = dict(TWO_PARTICLE_RIGHT_ANGLE,
+               positions=[[1e200, 0.0], [-1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "partition", "--input", write_system(tmp_path, doc))
+    assert code == 0, err
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    result = json.loads(out, parse_constant=refuse)
+    assert abs(result["rho"] - 1e200) <= 1e-12 * 1e200
+    # past the double range rho is refused, not printed as Infinity
+    doc = dict(TWO_PARTICLE_RIGHT_ANGLE,
+               positions=[[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "partition", "--input", write_system(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err == "error: rho beyond the double range\n"
 
 
 PLANAR_FOUR = {

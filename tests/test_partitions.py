@@ -580,6 +580,35 @@ def test_oracles_refuse_invalid_mass(oracle, mass):
         oracle(mass, *args)
 
 
+_SINGLE_ORACLES = {
+    "svd_rates": lambda z, zdot, xi, xidot: svd_rates(z, zdot),
+    "project_oracle": lambda z, zdot, xi, xidot: project_oracle(MASS, z, zdot),
+    "eigenvector_split_oracle":
+        lambda z, zdot, xi, xidot: eigenvector_split_oracle(MASS, z, zdot),
+    "momenta_direct": lambda z, zdot, xi, xidot: momenta_direct(MASS, z, zdot, xi, xidot),
+}
+
+
+@pytest.mark.parametrize("oracle, arg, bad", [
+    *((name, arg, bad) for name in _SINGLE_ORACLES for arg in ("z", "zdot")
+      for bad in (np.nan, np.inf)),
+    *((name, "z", "empty") for name in _SINGLE_ORACLES),
+    *(("momenta_direct", arg, bad) for arg in ("xi", "xidot") for bad in (np.nan, np.inf)),
+])
+def test_oracles_refuse_bad_input(oracle, arg, bad):
+    z, zdot, _ = sample_system_block(2, 4, "equal", substream(3, 22), 1)
+    args = dict(zip(("z", "zdot", "xi", "xidot"), (z[0], zdot[0], *svd_rates(z[0], zdot[0]))))
+    if bad == "empty":
+        args.update(z=np.zeros((0, 3)), zdot=np.zeros((0, 3)), xi=np.zeros(0), xidot=np.zeros(0))
+        match = "no entries"
+    else:
+        args[arg] = args[arg].copy()
+        args[arg].flat[1] = bad
+        match = "non-finite"
+    with pytest.raises(ValueError, match=match):
+        _SINGLE_ORACLES[oracle](**args)
+
+
 def test_batch_rejects_non_finite_input():
     rng = substream(3, 12)
     z, zdot, _ = sample_system_block(2, 4, "equal", rng, 3)
