@@ -58,12 +58,17 @@ def load_system_file(path):
     """
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object")
     try:
         masses = np.asarray(doc["masses"], dtype=float)
         positions = np.asarray(doc["positions"], dtype=float)
         velocities = np.asarray(doc["velocities"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in {path}") from exc
+    except TypeError as exc:
+        raise ValueError(f"masses, positions and velocities must be arrays "
+                         f"of numbers in {path}") from exc
     with np.errstate(over="ignore"):  # checked just below
         total = float(np.sum(masses))
     if masses.ndim != 1 or not (np.all(masses > 0.0) and np.isfinite(total)):
@@ -141,8 +146,6 @@ def read_reports_csv(path):
 
 
 def cmd_simulate(args):
-    if args.masses not in MASS_MODES:
-        raise ValueError(f"unknown mass mode {args.masses!r}")
     config = {
         "command": "simulate", "format": CSV_FORMAT, "d": args.d,
         "n_min": args.n_min, "n_max": args.n_max, "samples": args.samples,

@@ -296,6 +296,8 @@ def run_single(d, N, mode, samples, seed):
 
 def run_experiment(d, n_min, n_max, samples, mode, seed):
     """RunReports for every N in [n_min, n_max]; workers need fork."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if n_min < 2 or n_max < n_min:
         raise ValueError(f"invalid particle range [{n_min}, {n_max}]")
     if samples < 2:

@@ -7,8 +7,7 @@ That reproducibility is what the Monte Carlo harness relies on;
 LAPACK-grade speed is a non-goal.  All routines operate on plain float64
 numpy arrays.  The sampler and the engine keep a batch of systems in lane
 arrays, with the system index as the last, contiguous axis, and take every
-sum through _lane_sum.  Outside the engine, _complete_orthonormal extends
-orthonormal columns to a square orthogonal matrix with one LAPACK QR.
+sum through _lane_sum.
 """
 
 import numpy as np
@@ -121,20 +120,3 @@ def jacobi_orthogonalize(cols, norm2):
         if not rotated_any:
             return work[:, :length], work[:, length:]
     raise RuntimeError(f"one-sided Jacobi failed to converge in {_MAX_SWEEPS} sweeps")
-
-
-def _complete_orthonormal(thin):
-    """Extend thin (L x m, orthonormal or zero columns) to L x L orthogonal.
-
-    The orthonormal columns are kept bit for bit; zero columns and the
-    missing trailing columns, in order, take the columns past the kept ones
-    of a complete QR factorization of the kept ones, which span their
-    orthogonal complement.
-    """
-    length, m = thin.shape
-    kept = np.pad(np.sum(thin * thin, axis=0) > 0.5, (0, length - m))
-    cols = thin[:, kept[:m]]
-    full = np.empty((length, length))
-    full[:, kept] = cols
-    full[:, ~kept] = np.linalg.qr(cols, mode="complete")[0][:, cols.shape[1]:]
-    return full

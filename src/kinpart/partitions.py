@@ -18,25 +18,25 @@ momentum built from the singular values and their rates.
 
 compute_partition evaluates one system as a batch of one of the engine in
 kinpart._batch, so a single system and a sampled block share every line
-of the arithmetic.  svd is the engine's thin SVD of one matrix completed
-to full orthogonal factors.  The oracles exist to keep the engine honest:
+of the arithmetic.  svd is the engine's thin SVD of one matrix, at any
+scale, and momenta_fast the engine's momenta with L from given singular
+values and rates.  The oracles exist to keep the engine honest:
 project_oracle recomputes the projections by explicit least squares over
 spanning sets of the tangent spaces, eigenvector_split_oracle the
 E_out/E_in refinements by eigenvector perturbation theory, svd_rates
 the singular values and their rates, and momenta_direct the momenta from
-their defining component sums, with L from svd_rates' xi and xidot.
-momenta_fast evaluates the momenta's Gram-matrix forms, whose cost stays
-linear in the number of columns.  The oracles take their bases from one
-LAPACK SVD per matrix (np.linalg.svd), never from the Jacobi SVD they
-check and never from a Gram matrix, whose eigenvectors would square the
-condition number near repeated singular values (Bjorck, Numerical Methods
-for Least Squares Problems, 1996, 1.4 and 2.7).  All of them cut singular
-values at the engine's ZERO_TOL * xi_1.  Every entry point here takes its
-matrices through one gate, _unit_scaled, which refuses input that is not
-a non-empty, finite 2-d matrix and rescales the rest by powers of two.
+their defining component sums, with L from svd_rates' xi and xidot.  The
+oracles take their bases from one LAPACK SVD per matrix (np.linalg.svd),
+never from the Jacobi SVD they check and never from a Gram matrix, whose
+eigenvectors would square the condition number near repeated singular
+values (Bjorck, Numerical Methods for Least Squares Problems, 1996, 1.4
+and 2.7).  All of them cut singular values at the engine's
+ZERO_TOL * xi_1.  Every entry point here takes its matrices through one
+gate, _unit_scaled, which refuses input that is not a non-empty, finite
+2-d matrix and rescales the rest by powers of two.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from ._batch import (
     BATCH_FIELDS, GAP_TOL, TERMS, ZERO_TOL, _check_mass, _lanes, _slab_sum,
     _thin_svd, partition_batch,
 )
-from .linalg import _complete_orthonormal
 
 
 def _unit_scaled(*mats):
@@ -67,11 +66,12 @@ def _unit_scaled(*mats):
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Full factors of Z = D @ Upsilon @ X.T.
+    """Thin factors of Z = D @ diag(xi) @ X.T, with m = min(d, n).
 
-    D is d x d orthogonal, X is n x n orthogonal, and xi holds the
-    min(d, n) singular values in descending order, the main diagonal of
-    the d x n matrix Upsilon.
+    xi holds the m singular values in descending order, D is d x m and X
+    is n x m.  The short side's factor is exactly orthogonal; the long
+    side's has orthonormal columns, and zero columns where xi is at or
+    below linalg._COLUMN_FREEZE * ||Z||.
     """
 
     D: np.ndarray
@@ -80,37 +80,16 @@ class SvdFactors:
 
 
 def svd(z):
-    """Singular value decomposition with explicit full orthogonal factors.
+    """The engine's thin SVD of one matrix, at any scale.
 
-    The engine's thin SVD of z as a batch of one, taken on z rescaled by a
-    power of two, which is exact, so that any scale works; xi is scaled
-    back.  Its long-side factor is completed to an orthogonal matrix, then
-    each column of D is turned so its largest-magnitude entry is positive;
-    a turned column sigma < min(d, n) turns column sigma of X too, and X's
-    other columns follow the same convention on their own.  Raises
-    ValueError on input that is not a non-empty, finite 2-d matrix.
+    _thin_svd of z as a batch of one, taken on z rescaled by a power of
+    two, which is exact, with xi scaled back.  Raises ValueError on input
+    that is not a non-empty, finite 2-d matrix.
     """
     z, exp = _unit_scaled(z)
     lanes = _lanes(z[None])
     xi, dmat, xmat = _thin_svd(lanes, _slab_sum(lanes, lanes))
-    xi, dmat, xmat = np.ldexp(xi[:, 0], exp), dmat[:, :, 0].T, xmat[:, :, 0].T
-    if dmat.shape[1] < dmat.shape[0]:
-        dmat = _complete_orthonormal(dmat)
-    else:
-        xmat = _complete_orthonormal(xmat)
-
-    def negative(col):
-        return col[int(np.argmax(np.abs(col)))] < 0.0
-
-    for j in range(dmat.shape[1]):
-        if negative(dmat[:, j]):
-            dmat[:, j] = -dmat[:, j]
-            if j < xi.size:
-                xmat[:, j] = -xmat[:, j]
-    for j in range(xi.size, xmat.shape[1]):
-        if negative(xmat[:, j]):
-            xmat[:, j] = -xmat[:, j]
-    return SvdFactors(D=dmat, xi=xi, X=xmat)
+    return SvdFactors(D=dmat[:, :, 0].T, xi=np.ldexp(xi[:, 0], exp), X=xmat[:, :, 0].T)
 
 
 @dataclass(frozen=True)
@@ -239,19 +218,16 @@ def svd_rates(z, zdot):
     return np.ldexp(xi, z_exp), np.ldexp(xidot, zdot_exp)
 
 
-def _momenta_inputs(mass, z, zdot, xi, xidot):
-    """mass, z and zdot through the checks every entry point makes, then one
-    length and finiteness check on xi and xidot; returns the four arrays
-    as given, as floats, unscaled."""
-    _check_mass(mass)
-    _unit_scaled(z, zdot)
-    z, zdot, xi, xidot = (np.asarray(a, dtype=float) for a in (z, zdot, xi, xidot))
-    m = min(z.shape)
+def _checked_rates(shape, xi, xidot):
+    """xi and xidot as floats; raises ValueError unless each holds
+    min(shape) finite values."""
+    xi, xidot = np.asarray(xi, dtype=float), np.asarray(xidot, dtype=float)
+    m = min(shape)
     if xi.shape != (m,) or xidot.shape != (m,):
         raise ValueError(f"expected {m} singular values and rates")
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xidot))):
         raise ValueError("non-finite singular values or rates")
-    return z, zdot, xi, xidot
+    return xi, xidot
 
 
 def _pair_square_sum(outer):
@@ -276,7 +252,10 @@ def momenta_direct(mass, z, zdot, xi, xidot):
     not finite and > 0, on z and zdot that the gate refuses, and on xi or
     xidot that are not min(d, n) finite values.
     """
-    z, zdot, xi, xidot = _momenta_inputs(mass, z, zdot, xi, xidot)
+    _check_mass(mass)
+    _unit_scaled(z, zdot)
+    z, zdot = np.asarray(z, dtype=float), np.asarray(zdot, dtype=float)
+    xi, xidot = _checked_rates(z.shape, xi, xidot)
     jcomp = np.einsum("ia,ja->ij", z, zdot)
     j2 = mass * mass * _pair_square_sum(jcomp)
     kcomp = np.einsum("ia,ib->ab", z, zdot)
@@ -289,38 +268,19 @@ def momenta_direct(mass, z, zdot, xi, xidot):
 
 
 def momenta_fast(mass, z, zdot, xi, xidot):
-    """All four squared momenta from the Gram-matrix forms.
+    """All four squared momenta through the engine.
 
-    J^2 from the n x n Gram matrices over rows, K^2 from the d x d Gram
-    matrices over columns, Lambda^2 from Frobenius norms and the inner
-    product alone.  Values are clamped at zero against roundoff in the
-    cancellations.  Refuses input as momenta_direct does.
+    J^2, K^2 and Lambda^2 are compute_partition's, from Gram-matrix forms
+    whose cost stays linear in the number of columns; L^2 comes from the
+    given xi and xidot, as in momenta_direct.  Raises ValueError on what
+    compute_partition refuses, on xi or xidot that are not min(d, n) finite
+    values, and on momenta beyond the double range.
     """
-    z, zdot, xi, xidot = _momenta_inputs(mass, z, zdot, xi, xidot)
-    m2 = mass * mass
-
-    g1 = np.einsum("ia,ib->ab", z, z)
-    g2 = np.einsum("ia,ib->ab", z, zdot)
-    g3 = np.einsum("ia,ib->ab", zdot, zdot)
-    j2 = m2 * (float(np.sum(g1 * g3)) - float(np.sum(g2 * g2.T)))
-
-    d1 = np.einsum("ia,ja->ij", z, z)
-    d2 = np.einsum("ia,ja->ij", z, zdot)
-    d3 = np.einsum("ia,ja->ij", zdot, zdot)
-    k2 = m2 * (float(np.sum(d1 * d3)) - float(np.sum(d2 * d2.T)))
-
-    z2 = float(np.sum(z * z))
-    zd2 = float(np.sum(zdot * zdot))
-    inner = float(np.sum(z * zdot))
-    lam2 = m2 * (z2 * zd2 - inner * inner)
-
-    l2 = singular_momentum_squared(mass, xi, xidot)
-    return MomentaResult(
-        J2=max(j2, 0.0),
-        K2=max(k2, 0.0),
-        Lambda2=max(lam2, 0.0),
-        L2=l2,
-    )
+    momenta = compute_partition(mass, z, zdot).momenta
+    xi, xidot = _checked_rates(np.shape(z), xi, xidot)
+    if momenta is None:
+        raise ValueError("momenta beyond the double range")
+    return replace(momenta, L2=singular_momentum_squared(mass, xi, xidot))
 
 
 def project_oracle(mass, z, zdot):

@@ -116,6 +116,12 @@ def test_partition_bad_inputs(tmp_path, capsys):
                                      write_system(tmp_path, doc))
         assert code == 2 and out == ""
         assert err.startswith("error: masses must be finite and > 0")
+    # a top level that is not an object, and a field that holds one
+    for doc in ([1, 2], dict(TWO_PARTICLE_RIGHT_ANGLE, masses={"a": 1})):
+        code, out, err = run_cli(capsys, "partition", "--input",
+                                 write_system(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_partition_prints_strict_json_with_finite_rho_at_large_scale(tmp_path, capsys):
@@ -305,6 +311,16 @@ def test_simulate_refuses_invalid_thread_env(tmp_path, capsys, monkeypatch, raw)
     code, stdout, err = run_cli(capsys, *simulate_args(str(out)))
     assert code == 2 and stdout == ""
     assert err == f"error: KINPART_THREADS must be a positive integer, got {raw!r}\n"
+    assert not out.exists()
+
+
+def test_simulate_refuses_zero_dimensions(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    code, stdout, err = run_cli(capsys, "simulate", "--d", "0", "--n-min", "3",
+                                "--n-max", "4", "--samples", "100", "--masses",
+                                "equal", "--seed", "1", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == "error: d must be >= 1\n"
     assert not out.exists()
 
 

@@ -405,3 +405,7 @@ def test_run_experiment_range_and_validation():
         run_single(2, 3, "equal", 1, seed=9)
     with pytest.raises(ValueError):
         run_single(2, 3, "other", 100, seed=9)
+    # refused before any block runs: the chunk size divides by d * N
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="^d must be >= 1$"):
+            run_single(d, 3, "equal", 100, seed=9)

@@ -128,3 +128,20 @@ def test_momenta_shape_errors():
         momenta_fast(MASS, z, np.zeros((2, 2)), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         momenta_direct(MASS, z, np.zeros((2, 3)), np.zeros(3), np.zeros(3))
+
+
+def test_fast_momenta_at_mixed_scales():
+    # the engine rescales each matrix by a power of two, so J^2, K^2 and
+    # Lambda^2 ~ ||Z||^2 ||Zdot||^2 come out at any split of their scale
+    rng = substream(2, 7)
+    z = rng.standard_normal((3, 5))
+    zdot = rng.standard_normal((3, 5))
+    direct, fast = both_routes(1e200 * z, 1e-200 * zdot)
+    for name in ("J2", "K2", "Lambda2", "L2"):
+        a, b = getattr(direct, name), getattr(fast, name)
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+    # T ~ ||Zdot||^2 past the double range, then only the momenta past it
+    for z_scale, zdot_scale in ((1e-200, 1e200), (1e150, 1e100)):
+        xi, xidot = svd_rates(z_scale * z, zdot_scale * zdot)
+        with pytest.raises(ValueError, match="beyond the double range"):
+            momenta_fast(MASS, z_scale * z, zdot_scale * zdot, xi, xidot)
