@@ -8,6 +8,11 @@ of the frame (the rows or columns past min(d, n)) are taken as squared
 residual norms, which keeps the cost linear in max(d, n) per system and
 avoids the cancellation a norm-difference formula would have.
 
+TERMS and MOMENTA are the one spelling of the 19 term and 4 momentum names,
+in report order: partition_batch's keys, the fields of
+partitions.PartitionResult and MomentaResult, and the harness's tracked
+terms all come from them.
+
 The engine works on lane arrays, with the system index last (see
 linalg._lane_sum, which takes every sum and fixes its order): Z is held as
 (n, d, B), so a (d, n) slab is summed in particle-major order.  No BLAS is
@@ -217,32 +222,18 @@ def partition_batch(mass, z, zdot):
     t_inert = 0.5 * mass * normal
     t_rot = total - t_inert
 
-    l2 = np.zeros(nsys)
-    for s in range(m - 1):
-        for t in range(s + 1, m):
-            minor = xi[s] * xidot[t] - xi[t] * xidot[s]
-            l2 += minor * minor
-    l2 *= m2
-    t_xi = l2 / (2.0 * mass * z2)
-    t_j = j2 / (2.0 * mass * z2)
-    t_k = k2 / (2.0 * mass * z2)
-
     gap_abs = GAP_TOL * xi[0] * xi[0]
 
     degenerate = np.zeros(nsys, dtype=bool)
-    ext_in = np.zeros(nsys)
-    int_in = np.zeros(nsys)
-    eout_in = np.zeros(nsys)
-    ein_in = np.zeros(nsys)
-    out_a = np.zeros(nsys)
-    out_b_in = np.zeros(nsys)
-    in_a = np.zeros(nsys)
-    in_b_in = np.zeros(nsys)
+    l2 = np.zeros(nsys)
+    ext_in, int_in, eout_in, ein_in, out_a, out_b_in, in_a, in_b_in = np.zeros((8, nsys))
 
     for s in range(m - 1):
         for t in range(s + 1, m):
             xs = xi[s]
             xt = xi[t]
+            minor = xs * xidot[t] - xt * xidot[s]
+            l2 += minor * minor
             wst = w[s, t]
             wts = w[t, s]
             xs2 = xs * xs
@@ -269,6 +260,11 @@ def partition_batch(mass, z, zdot):
             out_b_in += np.where(lone, xs2 * a_st * a_st, 0.0)
             in_b_in += np.where(lone, xs2 * b_st * b_st, 0.0)
 
+    l2 *= m2
+    t_xi = l2 / (2.0 * mass * z2)
+    t_j = j2 / (2.0 * mass * z2)
+    t_k = k2 / (2.0 * mass * z2)
+
     stail_pos = _lane_sum(np.where(pos, stail, 0.0))
     rtail_pos = _lane_sum(np.where(pos, rtail, 0.0))
 
@@ -285,12 +281,7 @@ def partition_batch(mass, z, zdot):
     t_ac = t_rot - t_j - t_k
     e_c = t_rot - e_out - e_in
 
-    return {
-        "T": total, "T_lambda": t_lambda, "T_rho": t_rho, "T_rot": t_rot,
-        "T_I": t_inert, "T_xi": t_xi, "T_ext": t_ext, "T_int": t_int,
-        "T_res": t_res, "T_J": t_j, "T_K": t_k, "T_ac": t_ac,
-        "E_out": e_out, "E_outA": e_out_a, "E_outB": e_out_b,
-        "E_in": e_in, "E_inA": e_in_a, "E_inB": e_in_b, "E_c": e_c,
-        "J2": j2, "K2": k2, "Lambda2": lam2, "L2": l2,
-        "degenerate": degenerate,
-    }
+    return dict(zip(BATCH_FIELDS, (
+        total, t_lambda, t_rho, t_rot, t_inert, t_xi, t_ext, t_int, t_res,
+        t_j, t_k, t_ac, e_out, e_out_a, e_out_b, e_in, e_in_a, e_in_b, e_c,
+        j2, k2, lam2, l2)), degenerate=degenerate)

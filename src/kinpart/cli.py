@@ -69,9 +69,11 @@ def load_system_file(path):
     except TypeError as exc:
         raise ValueError(f"masses, positions and velocities must be arrays "
                          f"of numbers in {path}") from exc
+    if masses.ndim != 1 or masses.size == 0:
+        raise ValueError("masses must be a non-empty list of numbers")
     with np.errstate(over="ignore"):  # checked just below
         total = float(np.sum(masses))
-    if masses.ndim != 1 or not (np.all(masses > 0.0) and np.isfinite(total)):
+    if not (np.all(masses > 0.0) and np.isfinite(total)):
         raise ValueError("masses must be finite and > 0, with a finite sum")
     n = masses.size
     if positions.ndim != 2 or positions.shape[0] != n:

@@ -14,13 +14,6 @@ assertion targets.
 
 from fractions import Fraction
 
-BOUNDED_TERMS = (
-    "T_lambda", "T_rho", "T_rot", "T_I", "T_xi",
-    "T_ext", "T_int", "T_res", "T_J", "T_K", "T_ac",
-    "E_outB", "E_inB",
-)
-
-
 def conjecture_means_exact(d, N):
     """The thirteen mean values as exact Fractions, keyed by term name."""
     if d < 1:
@@ -45,6 +38,11 @@ def conjecture_means_exact(d, N):
         "E_outB": 1 - Fraction(omega, d),
         "E_inB": 1 - Fraction(omega, nu),
     }
+
+
+# The 13 bounded terms, in the key order of conjecture_means_exact, which is
+# the same at every (d, N).
+BOUNDED_TERMS = tuple(conjecture_means_exact(2, 3))
 
 
 def conjecture_means(d, N):

@@ -17,9 +17,11 @@ rest, so no sum and no CSV byte depends on the chunk size.
 
 Per (d, N, mode) the harness tracks the 19 energy terms plus the signed
 components and magnitudes of the three terms that can change sign:
-T_res, T_ac (negative fraction) and E_c (positive fraction).  Systems
-flagged degenerate are excluded from the singular-expansion statistics
-only; the exclusion count is reported.
+T_res, T_ac (negative fraction) and E_c (positive fraction).  The table
+SIGN_SPLITS names these eight splits, each with its term and part, and
+TRACKED_TERMS is TERMS followed by its names.  Systems flagged degenerate
+are excluded from the singular-expansion statistics only; the exclusion
+count is reported.
 
 Each term of a run is one row keyed by CSV_COLUMNS (report_rows), the
 layout the simulate CSV writes and reads back; verify_report checks such
@@ -28,7 +30,7 @@ rows, so a run in memory and its CSV are verified by the same code.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,18 +56,22 @@ THREADS_ENV = "KINPART_THREADS"
 # far above the observed roundoff.
 ZERO_FLOOR = 1e-12
 
-TRACKED_TERMS = TERMS + (
-    "T_res_plus", "T_res_minus", "T_res_abs",
-    "T_ac_plus", "T_ac_minus", "T_ac_abs",
-    "E_c_plus", "E_c_minus",
-)
+# Tracked name -> (term, part) for the terms that can change sign; _PARTS
+# evaluates each part.
+SIGN_SPLITS = {
+    "T_res_plus": ("T_res", "plus"), "T_res_minus": ("T_res", "minus"),
+    "T_res_abs": ("T_res", "abs"),
+    "T_ac_plus": ("T_ac", "plus"), "T_ac_minus": ("T_ac", "minus"),
+    "T_ac_abs": ("T_ac", "abs"),
+    "E_c_plus": ("E_c", "plus"), "E_c_minus": ("E_c", "minus"),
+}
+_PARTS = {"plus": lambda x: np.maximum(x, 0.0),
+          "minus": lambda x: np.maximum(-x, 0.0), "abs": np.abs}
+TRACKED_TERMS = TERMS + tuple(SIGN_SPLITS)
 
-# Terms tied to the singular value expansion: computed on the
-# non-degenerate subset only.
-EXPANSION_TERMS = frozenset(
-    ("E_out", "E_outA", "E_outB", "E_in", "E_inA", "E_inB",
-     "E_c", "E_c_plus", "E_c_minus")
-)
+# Terms tied to the singular value expansion, the E_ terms and their sign
+# splits: computed on the non-degenerate subset only.
+EXPANSION_TERMS = frozenset(term for term in TRACKED_TERMS if term.startswith("E_"))
 
 NEGATIVE_FRACTION_TERMS = ("T_res", "T_ac")
 POSITIVE_FRACTION_TERMS = ("E_c",)
@@ -113,13 +119,7 @@ class StatAccumulator:
         if other.count == 0:
             return self
         if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self.m2 = other.m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            self.negatives = other.negatives
-            self.positives = other.positives
+            vars(self).update(vars(other))
             return self
         total = self.count + other.count
         delta = other.mean - self.mean
@@ -141,16 +141,6 @@ class StatAccumulator:
         return math.sqrt(self.variance_biased / self.count) if self.count else math.nan
 
 
-# One CSV row per (d, N, mode, term): columns 4..17 are TermReport's fields
-# in order, with minimum/maximum written as min/max.
-CSV_COLUMNS = (
-    "d", "N", "x_abscissa", "mass_mode", "term", "count", "mean",
-    "variance_biased", "stderr", "min", "max", "expected", "abs_diff",
-    "weighted_diff", "sigma_ratio", "fraction_negative",
-    "fraction_positive", "degenerate_excluded", "seed",
-)
-
-
 @dataclass(frozen=True)
 class TermReport:
     """Summary statistics of one term in one (d, N, mode) run."""
@@ -169,6 +159,13 @@ class TermReport:
     fraction_negative: float | None = None
     fraction_positive: float | None = None
     degenerate_excluded: int = 0
+
+
+# One CSV row per (d, N, mode, term): the run's keys, TermReport's fields in
+# order with minimum/maximum written as min/max, and the seed.
+CSV_COLUMNS = ("d", "N", "x_abscissa", "mass_mode",
+               *({"minimum": "min", "maximum": "max"}.get(f.name, f.name)
+                 for f in fields(TermReport)), "seed")
 
 
 @dataclass(frozen=True)
@@ -252,18 +249,10 @@ def _block_counts(samples):
 
 
 def _derived_arrays(res):
+    """Every tracked term's array: the engine's, then the sign splits'."""
     values = {name: res[name] for name in TERMS}
-    t_res = res["T_res"]
-    t_ac = res["T_ac"]
-    e_c = res["E_c"]
-    values["T_res_plus"] = np.maximum(t_res, 0.0)
-    values["T_res_minus"] = np.maximum(-t_res, 0.0)
-    values["T_res_abs"] = np.abs(t_res)
-    values["T_ac_plus"] = np.maximum(t_ac, 0.0)
-    values["T_ac_minus"] = np.maximum(-t_ac, 0.0)
-    values["T_ac_abs"] = np.abs(t_ac)
-    values["E_c_plus"] = np.maximum(e_c, 0.0)
-    values["E_c_minus"] = np.maximum(-e_c, 0.0)
+    values.update((name, _PARTS[part](res[term]))
+                  for name, (term, part) in SIGN_SPLITS.items())
     return values
 
 
@@ -373,8 +362,9 @@ def verify_report(rows, sigma_threshold=4.0):
     that it is negative for half of the systems (d >= 2 and N >= 3 only; in
     the other cases the residual vanishes identically and its sign is
     roundoff noise).  Either check passes outright when |diff| <= ZERO_FLOOR.
-    Raises ValueError on a checked row with count below 1 or without the
-    mean, stderr or (for the sign check) fraction_negative it needs.
+    Raises ValueError on a checked row with count below 1, without the
+    mean, stderr or (for the sign check) fraction_negative it needs, or
+    with a stderr that is not finite and >= 0.
     Returns (checks, summary) where the summary aggregates abs_diff /
     weighted_diff / sigma_ratio over the mean checks, mirroring how batches
     of such comparisons are usually quoted.
@@ -387,9 +377,10 @@ def verify_report(rows, sigma_threshold=4.0):
             continue
         sign = row["term"] == "T_res" and row["d"] >= 2 and row["N"] >= 3
         needed = ("mean", "stderr") + (("fraction_negative",) if sign else ())
-        if (row["count"] or 0) < 1 or any(row[key] is None for key in needed):
+        if ((row["count"] or 0) < 1 or any(row[key] is None for key in needed)
+                or not 0.0 <= row["stderr"] < math.inf):
             raise ValueError(f"{row['term']} row at N={row['N']} needs count >= 1 "
-                             f"and {', '.join(needed)}")
+                             f"and {', '.join(needed)}, with stderr finite and >= 0")
         checks.append(_check(row, "mean", row["mean"], row["stderr"], row["expected"],
                              sigma_threshold))
         if sign:

@@ -36,13 +36,13 @@ gate, _unit_scaled, which refuses input that is not a non-empty, finite
 2-d matrix and rescales the rest by powers of two.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
 
 import numpy as np
 
 from ._batch import (
-    BATCH_FIELDS, GAP_TOL, TERMS, ZERO_TOL, _check_mass, _lanes, _slab_sum,
-    _thin_svd, partition_batch,
+    BATCH_FIELDS, GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _check_mass, _lanes,
+    _slab_sum, _thin_svd, partition_batch,
 )
 
 
@@ -92,45 +92,24 @@ def svd(z):
     return SvdFactors(D=dmat[:, :, 0].T, xi=np.ldexp(xi[:, 0], exp), X=xmat[:, :, 0].T)
 
 
-@dataclass(frozen=True)
-class MomentaResult:
-    """Squared momenta J^2, K^2, Lambda^2, L^2 (all non-negative)."""
-
-    J2: float
-    K2: float
-    Lambda2: float
-    L2: float
+MomentaResult = make_dataclass(
+    "MomentaResult", [(name, float) for name in MOMENTA], frozen=True,
+    namespace={"__module__": __name__, "__doc__":
+               "Squared momenta J^2, K^2, Lambda^2, L^2 (all non-negative)."})
 
 
-@dataclass(frozen=True)
-class PartitionResult:
-    """All 19 energy terms of one system plus its squared momenta."""
+def _terms(self):
+    """The 19 energy terms as an ordered name -> value dict."""
+    return {name: getattr(self, name) for name in TERMS}
 
-    T: float
-    T_lambda: float
-    T_rho: float
-    T_rot: float
-    T_I: float
-    T_xi: float
-    T_ext: float
-    T_int: float
-    T_res: float
-    T_J: float
-    T_K: float
-    T_ac: float
-    E_out: float
-    E_outA: float
-    E_outB: float
-    E_in: float
-    E_inA: float
-    E_inB: float
-    E_c: float
-    momenta: MomentaResult | None
-    degenerate: bool
 
-    def terms(self):
-        """The 19 energy terms as an ordered name -> value dict."""
-        return {name: getattr(self, name) for name in TERMS}
+# The fields are TERMS, then momenta (None where they overflow) and the
+# degenerate flag.
+PartitionResult = make_dataclass(
+    "PartitionResult", [(name, float) for name in TERMS]
+    + [("momenta", MomentaResult | None), ("degenerate", bool)], frozen=True,
+    namespace={"__module__": __name__, "terms": _terms, "__doc__":
+               "All 19 energy terms of one system plus its squared momenta."})
 
 
 def compute_partition(mass, z, zdot):

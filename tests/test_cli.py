@@ -116,6 +116,12 @@ def test_partition_bad_inputs(tmp_path, capsys):
                                      write_system(tmp_path, doc))
         assert code == 2 and out == ""
         assert err.startswith("error: masses must be finite and > 0")
+    # no masses, or a nested list: neither names n particles
+    for masses in ([], [[1.0, 2.0]]):
+        doc = dict(TWO_PARTICLE_RIGHT_ANGLE, masses=masses)
+        code, out, err = run_cli(capsys, "partition", "--input", write_system(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == "error: masses must be a non-empty list of numbers\n"
     # a top level that is not an object, and a field that holds one
     for doc in ([1, 2], dict(TWO_PARTICLE_RIGHT_ANGLE, masses={"a": 1})):
         code, out, err = run_cli(capsys, "partition", "--input",
@@ -479,7 +485,8 @@ def test_verify_rejects_a_csv_without_column_header(tmp_path, capsys):
 
 @pytest.mark.parametrize("term, column, value", [
     ("T_res", "count", "0"), ("T_rot", "mean", ""), ("T_rot", "stderr", ""),
-    ("T_res", "fraction_negative", "")])
+    ("T_res", "fraction_negative", ""), ("T_lambda", "stderr", "inf"),
+    ("T_lambda", "stderr", "-1.0"), ("T_lambda", "stderr", "nan")])
 def test_verify_rejects_a_row_it_cannot_check(tmp_path, capsys, term, column, value):
     out = tmp_path / "run.csv"
     run_cli(capsys, "simulate", "--d", "2", "--n-min", "3", "--n-max", "3",

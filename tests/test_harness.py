@@ -13,9 +13,9 @@ from kinpart import (
 )
 from kinpart import harness
 from kinpart.harness import (
-    CSV_COLUMNS, EXPANSION_TERMS, TRACKED_TERMS, RunReport, TermReport, ZERO_FLOOR,
-    _block_summary, _derived_arrays, expected_values, partition_batch,
-    thread_count,
+    CSV_COLUMNS, EXPANSION_TERMS, SIGN_SPLITS, TERMS, TRACKED_TERMS, RunReport,
+    TermReport, ZERO_FLOOR, _block_summary, _derived_arrays, expected_values,
+    partition_batch, thread_count,
 )
 
 
@@ -377,6 +377,21 @@ def test_verify_zero_floor_handles_identically_zero_terms():
     assert summary["failures"] == 0
     ext = [c for c in checks if c.term == "T_ext"][0]
     assert ext.passed and ext.abs_diff <= ZERO_FLOOR
+
+
+def test_sign_splits_are_the_signed_parts_of_their_terms():
+    assert TRACKED_TERMS == TERMS + (
+        "T_res_plus", "T_res_minus", "T_res_abs", "T_ac_plus", "T_ac_minus",
+        "T_ac_abs", "E_c_plus", "E_c_minus")
+    x = np.array([-2.0, -0.0, 0.0, 3.0])
+    values = _derived_arrays(dict.fromkeys(TERMS, x))
+    for name, (term, part) in SIGN_SPLITS.items():
+        assert name == f"{term}_{part}"
+        want = {"plus": [0.0, 0.0, 0.0, 3.0], "minus": [2.0, 0.0, 0.0, 0.0],
+                "abs": [2.0, 0.0, 0.0, 3.0]}[part]
+        assert values[name].tolist() == want, name
+    assert EXPANSION_TERMS == {"E_out", "E_outA", "E_outB", "E_in", "E_inA",
+                               "E_inB", "E_c", "E_c_plus", "E_c_minus"}
 
 
 def test_csv_columns_follow_term_report_fields():

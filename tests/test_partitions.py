@@ -641,3 +641,26 @@ def test_batch_rejects_out_of_range_scale():
     res = partition_batch(MASS, z, np.zeros_like(zdot))
     for name in TERMS + MOMENTA:
         assert np.all(res[name] == 0.0), name
+
+
+def test_result_classes_take_their_fields_from_the_name_lists():
+    from dataclasses import FrozenInstanceError, fields, replace
+
+    from kinpart import BOUNDED_TERMS, MomentaResult, PartitionResult, conjecture_means_exact
+
+    assert [f.name for f in fields(PartitionResult)] == [*TERMS, "momenta", "degenerate"]
+    assert [f.name for f in fields(MomentaResult)] == list(MOMENTA)
+    assert PartitionResult.__module__ == MomentaResult.__module__ == "kinpart.partitions"
+    rng = substream(3, 21)
+    z, zdot, _ = sample_system_block(3, 5, "random", rng, 1)
+    res = compute_partition(MASS, z[0], zdot[0])
+    assert list(res.terms()) == list(TERMS)
+    assert list(asdict(res)) == [*TERMS, "momenta", "degenerate"]
+    assert list(asdict(res)["momenta"]) == list(MOMENTA)
+    for obj, name in ((res, "T_rot"), (res.momenta, "L2")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, 0.0)
+        assert getattr(replace(obj, **{name: 5.0}), name) == 5.0
+    assert replace(res, T=5.0).terms()["T"] == 5.0
+    for d, n_particles in ((1, 2), (2, 3), (3, 8), (5, 4)):
+        assert BOUNDED_TERMS == tuple(conjecture_means_exact(d, n_particles))
