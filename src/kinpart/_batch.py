@@ -152,21 +152,30 @@ def _check_mass(mass):
         raise ValueError(f"mass must be finite and > 0, got {mass!r}")
 
 
+def _as_real(*arrays):
+    """The arrays as floats; raises ValueError on complex input, whose
+    imaginary part the conversion would drop."""
+    if any(np.iscomplexobj(a) for a in arrays):
+        raise ValueError("complex entries")
+    return [np.asarray(a, dtype=float) for a in arrays]
+
+
 def partition_batch(mass, z, zdot):
     """All 19 terms, 4 squared momenta, and degeneracy flags for a stack.
 
     z, zdot: (B, d, n) arrays in any memory layout.  Returns a dict of (B,)
     arrays keyed by BATCH_FIELDS plus a boolean "degenerate" array.  Raises
-    ValueError on a mass that is not finite and > 0, non-finite entries, a
-    zero hyperradius, or a system whose z2 or z2 * zd2 is not a normal
-    double (zdot == 0 is accepted).
+    ValueError on a mass that is not finite and > 0, an empty batch,
+    complex or non-finite entries, a zero hyperradius, or a system whose z2
+    or z2 * zd2 is not a normal double (zdot == 0 is accepted).
     """
     _check_mass(mass)
-    z = np.asarray(z, dtype=float)
-    zdot = np.asarray(zdot, dtype=float)
+    z, zdot = _as_real(z, zdot)
     if z.ndim != 3 or z.shape != zdot.shape:
         raise ValueError(f"expected matching (B, d, n) stacks, got {z.shape} vs {zdot.shape}")
     nsys, d, n = z.shape
+    if nsys == 0:
+        raise ValueError("empty batch: no systems")
     m = min(d, n)
     m2 = mass * mass
     z = _lanes(z)

@@ -29,7 +29,7 @@ from .ensemble import MASS_MODES, TOTAL_MASS, sample_system_block, substream
 from .harness import CSV_COLUMNS, report_rows, run_experiment, verify_report
 from .partitions import (
     _unit_scaled, compute_partition, eigenvector_split_oracle, momenta_direct,
-    project_oracle, svd_rates,
+    project_oracle,
 )
 
 CSV_FORMAT = "kinpart-simulate-csv/1"
@@ -202,7 +202,7 @@ def cmd_oracle_check(args):
             skipped += 1
             continue
         oracle = project_oracle(TOTAL_MASS, z, zdot)
-        direct = momenta_direct(TOTAL_MASS, z, zdot, *svd_rates(z, zdot))
+        direct = momenta_direct(TOTAL_MASS, z, zdot)
         # (name, engine value, oracle value)
         table = [(name, getattr(part, name), getattr(oracle, name)) for name in _PROJECTED]
         table += [(name, getattr(part.momenta, name), getattr(direct, name))

@@ -91,9 +91,11 @@ def random_mass_fit(term, N):
     """Descriptive fit (a N + b) / (2 nu) for a random-mass mean at d = 2.
 
     Fit range N = 50..100; keep away from small N.  Raises KeyError for
-    terms without a tabulated fit.
+    terms without a tabulated fit and ValueError for N < 2.
     """
     if term not in RANDOM_MASS_FITS:
         raise KeyError(f"no random-mass fit for term {term!r}")
+    if N < 2:
+        raise ValueError("N must be >= 2")
     a, b = RANDOM_MASS_FITS[term]
     return (a * N + b) / (2.0 * (N - 1))

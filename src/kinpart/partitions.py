@@ -19,8 +19,8 @@ momentum built from the singular values and their rates.
 compute_partition evaluates one system as a batch of one of the engine in
 kinpart._batch, so a single system and a sampled block share every line
 of the arithmetic.  svd is the engine's thin SVD of one matrix, at any
-scale, and momenta_fast the engine's momenta with L from given singular
-values and rates.  The oracles exist to keep the engine honest:
+scale, and momenta_fast the engine's momenta of one system.  The oracles
+exist to keep the engine honest, and each takes only (mass, Z, Zdot):
 project_oracle recomputes the projections by explicit least squares over
 spanning sets of the tangent spaces, eigenvector_split_oracle the
 E_out/E_in refinements by eigenvector perturbation theory, svd_rates
@@ -31,18 +31,20 @@ never from the Jacobi SVD they check and never from a Gram matrix, whose
 eigenvectors would square the condition number near repeated singular
 values (Bjorck, Numerical Methods for Least Squares Problems, 1996, 1.4
 and 2.7).  All of them cut singular values at the engine's
-ZERO_TOL * xi_1.  Every entry point here takes its matrices through one
-gate, _unit_scaled, which refuses input that is not a non-empty, finite
-2-d matrix and rescales the rest by powers of two.
+ZERO_TOL * xi_1, and both split oracles test for repeated live singular
+values with the engine's GAP_TOL.  Every entry point here takes its
+matrices through one gate, _unit_scaled, which refuses input that is not
+a non-empty, finite, real 2-d matrix and rescales the rest by powers of
+two.
 """
 
-from dataclasses import dataclass, make_dataclass, replace
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
 from ._batch import (
-    BATCH_FIELDS, GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _check_mass, _lanes,
-    _slab_sum, _thin_svd, partition_batch,
+    BATCH_FIELDS, GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _as_real, _check_mass,
+    _lanes, _slab_sum, _thin_svd, partition_batch,
 )
 
 
@@ -50,8 +52,8 @@ def _unit_scaled(*mats):
     """Each matrix rescaled by a power of two, which is exact, to entries in
     [1/2, 1), followed by the exponents that scale them back.  Raises
     ValueError unless the matrices share one non-empty 2-d shape and every
-    entry is finite."""
-    mats = [np.asarray(m, dtype=float) for m in mats]
+    entry is real and finite."""
+    mats = _as_real(*mats)
     shape = mats[0].shape
     if len(shape) != 2 or any(m.shape != shape for m in mats):
         raise ValueError("expected 2-d matrices of one shape, got "
@@ -197,18 +199,6 @@ def svd_rates(z, zdot):
     return np.ldexp(xi, z_exp), np.ldexp(xidot, zdot_exp)
 
 
-def _checked_rates(shape, xi, xidot):
-    """xi and xidot as floats; raises ValueError unless each holds
-    min(shape) finite values."""
-    xi, xidot = np.asarray(xi, dtype=float), np.asarray(xidot, dtype=float)
-    m = min(shape)
-    if xi.shape != (m,) or xidot.shape != (m,):
-        raise ValueError(f"expected {m} singular values and rates")
-    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xidot))):
-        raise ValueError("non-finite singular values or rates")
-    return xi, xidot
-
-
 def _pair_square_sum(outer):
     """Sum of (outer[p, q] - outer[q, p])^2 over index pairs p < q."""
     p, q = np.triu_indices(outer.shape[0], k=1)
@@ -216,25 +206,18 @@ def _pair_square_sum(outer):
     return float(np.sum(minors * minors))
 
 
-def singular_momentum_squared(mass, xi, xidot):
-    """L^2 = sum over sigma < tau of M^2 (xi_s xidot_t - xi_t xidot_s)^2."""
-    return mass * mass * _pair_square_sum(np.outer(xi, xidot))
-
-
-def momenta_direct(mass, z, zdot, xi, xidot):
+def momenta_direct(mass, z, zdot):
     """All four squared momenta from their defining component sums.
 
     J from the d(d-1)/2 antisymmetrized row sums, K from the n(n-1)/2
     column sums, Lambda from all dn(dn-1)/2 minors of the flattened pair,
-    L from the singular-value minors of xi and xidot (svd_rates).
-    Quadratic cost; oracle use only.  Raises ValueError on a mass that is
-    not finite and > 0, on z and zdot that the gate refuses, and on xi or
-    xidot that are not min(d, n) finite values.
+    L from the minors of svd_rates' singular values and rates.  Quadratic
+    cost; oracle use only.  Raises ValueError on a mass that is not finite
+    and > 0, and on what svd_rates refuses.
     """
     _check_mass(mass)
-    _unit_scaled(z, zdot)
+    xi, xidot = svd_rates(z, zdot)
     z, zdot = np.asarray(z, dtype=float), np.asarray(zdot, dtype=float)
-    xi, xidot = _checked_rates(z.shape, xi, xidot)
     jcomp = np.einsum("ia,ja->ij", z, zdot)
     j2 = mass * mass * _pair_square_sum(jcomp)
     kcomp = np.einsum("ia,ib->ab", z, zdot)
@@ -242,24 +225,27 @@ def momenta_direct(mass, z, zdot, xi, xidot):
     # Row-major flattening orders the index pairs (i, alpha) exactly as the
     # condition "i < j, or i = j and alpha < beta" requires.
     lam2 = mass * mass * _pair_square_sum(np.outer(z.ravel(), zdot.ravel()))
-    l2 = singular_momentum_squared(mass, xi, xidot)
+    l2 = mass * mass * _pair_square_sum(np.outer(xi, xidot))
     return MomentaResult(J2=j2, K2=k2, Lambda2=lam2, L2=l2)
 
 
-def momenta_fast(mass, z, zdot, xi, xidot):
-    """All four squared momenta through the engine.
+def momenta_fast(mass, z, zdot):
+    """The engine's four squared momenta of one system, compute_partition's.
 
-    J^2, K^2 and Lambda^2 are compute_partition's, from Gram-matrix forms
-    whose cost stays linear in the number of columns; L^2 comes from the
-    given xi and xidot, as in momenta_direct.  Raises ValueError on what
-    compute_partition refuses, on xi or xidot that are not min(d, n) finite
-    values, and on momenta beyond the double range.
+    Raises ValueError on what compute_partition refuses and on momenta
+    beyond the double range.
     """
     momenta = compute_partition(mass, z, zdot).momenta
-    xi, xidot = _checked_rates(np.shape(z), xi, xidot)
     if momenta is None:
         raise ValueError("momenta beyond the double range")
-    return replace(momenta, L2=singular_momentum_squared(mass, xi, xidot))
+    return momenta
+
+
+def _live_values_distinct(xi):
+    """The engine's degenerate test, negated, on descending xi: each live
+    value has a squared gap above GAP_TOL * xi_1^2 to the next one."""
+    live = xi[:-1] > ZERO_TOL * xi[0]
+    return bool(np.all((xi[:-1] ** 2 - xi[1:] ** 2)[live] > GAP_TOL * xi[0] ** 2))
 
 
 def project_oracle(mass, z, zdot):
@@ -288,10 +274,7 @@ def project_oracle(mass, z, zdot):
         return 0.5 * mass * float(y @ y), vt[keep].T @ (y / s[keep])
 
     t_rot, coeff = projected(np.concatenate([rot, kin], axis=1))
-    # The engine's degenerate test on descending xi: each live value has a
-    # squared gap above GAP_TOL * xi_1^2 to the next one.
-    live = xi[:-1] > ZERO_TOL * xi[0]
-    split_valid = bool(np.all((xi[:-1] ** 2 - xi[1:] ** 2)[live] > GAP_TOL * xi[0] ** 2))
+    split_valid = _live_values_distinct(xi)
     e_out = e_in = 0.0
     if split_valid:
         out_vec = rot @ coeff[:rot.shape[1]]
@@ -321,13 +304,16 @@ def eigenvector_split_oracle(mass, z, zdot):
     and the four components are the xi^2-weighted sums of the squared
     overlaps inside (A) and outside (B) the block of live eigenvalues
     (xi above ZERO_TOL * xi_1).  Requires pairwise distinct live singular
-    values.  Z is rescaled by a power of two first, so lambda = xi^2 cannot
-    underflow or overflow: the terms do not depend on its scale.
+    values, by the engine's GAP_TOL test, and raises ValueError where they
+    are not.  Z is rescaled by a power of two first, so lambda = xi^2
+    cannot underflow or overflow: the terms do not depend on its scale.
     """
     _check_mass(mass)
     z = _unit_scaled(z, zdot)[0]
     zdot = np.asarray(zdot, dtype=float)
     u, xi, vt = np.linalg.svd(z)
+    if not _live_values_distinct(xi):
+        raise ValueError("repeated live singular values: the split is not unique")
     k = int(np.count_nonzero(xi > ZERO_TOL * xi[0]))
 
     def one_side(vectors, sdot):

@@ -299,7 +299,7 @@ def _criterion_8_cell(d, n_particles, mode, count, failures):
 
     # per-system oracles
     for i in range(count):
-        direct = kp.momenta_direct(2.0, z[i], zdot[i], *kp.svd_rates(z[i], zdot[i]))
+        direct = kp.momenta_direct(2.0, z[i], zdot[i])
         for name in ("J2", "K2", "Lambda2", "L2"):
             a, b = getattr(direct, name), float(res[name][i])
             if abs(a - b) > 1e-10 * max(1.0, abs(a), abs(b)):

@@ -125,3 +125,6 @@ def test_random_mass_fits():
     assert random_mass_fit("T_res_plus", 80) == random_mass_fit("T_res_minus", 80)
     with pytest.raises(KeyError):
         random_mass_fit("E_outB", 50)
+    for n_particles in (1, 0):
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            random_mass_fit("T_rho", n_particles)

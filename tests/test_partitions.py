@@ -60,7 +60,7 @@ def test_svd_rates_near_rank_drop_match_engine():
             b = haar(n, rng)
             z = a @ np.diag(np.append(np.linspace(1.0, 0.5, n - 1), 1e-9)) @ b.T
             zdot = rng.standard_normal((n, n))
-            direct = momenta_direct(MASS, z, zdot, *svd_rates(z, zdot))
+            direct = momenta_direct(MASS, z, zdot)
             engine = compute_partition(MASS, z, zdot).momenta
             assert rel_gap(direct.L2, engine.L2) <= 1e-10
 
@@ -80,7 +80,7 @@ def test_one_zero_cut_for_rates_and_normal_block(shape, e):
         zdot = np.array([[0.0, 0.0, 0.3], [0.0, 1.0, 0.2]])
         t_inert, t_rot = (1.0, 0.13) if e > ZERO_TOL else (1.04, 0.09)
     part = compute_partition(MASS, z, zdot)
-    direct = momenta_direct(MASS, z, zdot, *svd_rates(z, zdot))
+    direct = momenta_direct(MASS, z, zdot)
     assert abs(part.momenta.L2 - direct.L2) <= 1e-10
     assert abs(part.T_xi - direct.L2 / (2.0 * MASS * np.sum(z * z))) <= 1e-10
     assert part.momenta.L2 == (4.0 if e > ZERO_TOL else 0.0)
@@ -263,11 +263,10 @@ def test_oracles_do_not_use_the_jacobi_svd(monkeypatch):
     z, zdot, _ = sample_system_block(3, 5, "random", rng, 1)
 
     def oracles():
-        rates = svd_rates(z[0], zdot[0])
         return (project_oracle(MASS, z[0], zdot[0]),
                 eigenvector_split_oracle(MASS, z[0], zdot[0]),
-                [r.tolist() for r in rates],
-                momenta_direct(MASS, z[0], zdot[0], *rates))
+                [r.tolist() for r in svd_rates(z[0], zdot[0])],
+                momenta_direct(MASS, z[0], zdot[0]))
 
     want = oracles()
 
@@ -330,7 +329,7 @@ def assert_engine_matches_oracles(z, zdot, tol_terms, tol_split):
     split = eigenvector_split_oracle(MASS, z, zdot)
     for name, value in zip(("E_outA", "E_outB", "E_inA", "E_inB"), split):
         assert rel_gap(getattr(res, name), value) <= tol_split, name
-    direct = momenta_direct(MASS, z, zdot, *svd_rates(z, zdot))
+    direct = momenta_direct(MASS, z, zdot)
     assert rel_gap(res.momenta.L2, direct.L2) <= tol_split
 
 
@@ -573,19 +572,15 @@ def test_invalid_mass_or_empty_z_refused(mass, shape, match):
                                     momenta_direct])
 def test_oracles_refuse_invalid_mass(oracle, mass):
     z, zdot, _ = sample_system_block(2, 4, "equal", substream(3, 21), 1)
-    args = (z[0], zdot[0])
-    if oracle is momenta_direct:
-        args += svd_rates(z[0], zdot[0])
     with pytest.raises(ValueError, match="mass must be finite and > 0"):
-        oracle(mass, *args)
+        oracle(mass, z[0], zdot[0])
 
 
 _SINGLE_ORACLES = {
-    "svd_rates": lambda z, zdot, xi, xidot: svd_rates(z, zdot),
-    "project_oracle": lambda z, zdot, xi, xidot: project_oracle(MASS, z, zdot),
-    "eigenvector_split_oracle":
-        lambda z, zdot, xi, xidot: eigenvector_split_oracle(MASS, z, zdot),
-    "momenta_direct": lambda z, zdot, xi, xidot: momenta_direct(MASS, z, zdot, xi, xidot),
+    "svd_rates": svd_rates,
+    "project_oracle": lambda z, zdot: project_oracle(MASS, z, zdot),
+    "eigenvector_split_oracle": lambda z, zdot: eigenvector_split_oracle(MASS, z, zdot),
+    "momenta_direct": lambda z, zdot: momenta_direct(MASS, z, zdot),
 }
 
 
@@ -593,13 +588,12 @@ _SINGLE_ORACLES = {
     *((name, arg, bad) for name in _SINGLE_ORACLES for arg in ("z", "zdot")
       for bad in (np.nan, np.inf)),
     *((name, "z", "empty") for name in _SINGLE_ORACLES),
-    *(("momenta_direct", arg, bad) for arg in ("xi", "xidot") for bad in (np.nan, np.inf)),
 ])
 def test_oracles_refuse_bad_input(oracle, arg, bad):
     z, zdot, _ = sample_system_block(2, 4, "equal", substream(3, 22), 1)
-    args = dict(zip(("z", "zdot", "xi", "xidot"), (z[0], zdot[0], *svd_rates(z[0], zdot[0]))))
+    args = {"z": z[0], "zdot": zdot[0]}
     if bad == "empty":
-        args.update(z=np.zeros((0, 3)), zdot=np.zeros((0, 3)), xi=np.zeros(0), xidot=np.zeros(0))
+        args.update(z=np.zeros((0, 3)), zdot=np.zeros((0, 3)))
         match = "no entries"
     else:
         args[arg] = args[arg].copy()
@@ -607,6 +601,34 @@ def test_oracles_refuse_bad_input(oracle, arg, bad):
         match = "non-finite"
     with pytest.raises(ValueError, match=match):
         _SINGLE_ORACLES[oracle](**args)
+
+
+@pytest.mark.parametrize("values", [(1.0, 1.0), (1.0 + 1e-12, 1.0)])
+def test_split_oracles_refuse_repeated_live_singular_values(values):
+    # the perturbation sums divide by lambda_i - lambda_j, which is 0 at
+    # Z = I and 2e-12 at the second input
+    z = np.diag(values)
+    zdot = np.array([[0.3, 1.0], [-0.5, 0.2]])
+    assert compute_partition(MASS, z, zdot).degenerate
+    assert not project_oracle(MASS, z, zdot).split_valid
+    with pytest.raises(ValueError, match="repeated live singular values"):
+        eigenvector_split_oracle(MASS, z, zdot)
+
+
+def test_complex_input_refused_at_both_gates():
+    # the float conversion would drop the imaginary part with only a
+    # ComplexWarning, and T_rot would come out as 1.0
+    z, zdot = [[1 + 2j, 0], [0, 1]], [[0, 1], [0, 0]]
+    for args in ((z, zdot), (zdot, z)):
+        with pytest.raises(ValueError, match="complex entries"):
+            compute_partition(MASS, *args)
+        with pytest.raises(ValueError, match="complex entries"):
+            partition_batch(MASS, *(np.array([a]) for a in args))
+
+
+def test_batch_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        partition_batch(MASS, np.zeros((0, 2, 3)), np.zeros((0, 2, 3)))
 
 
 def test_batch_rejects_non_finite_input():
