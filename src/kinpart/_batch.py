@@ -148,16 +148,28 @@ def _frame_rates(zdot, dmat, xmat):
 
 
 def _check_mass(mass):
-    if not (np.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be finite and > 0, got {mass!r}")
+    if not (isinstance(mass, (int, float, np.integer, np.floating))
+            and np.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be a real scalar, finite and > 0, got {mass!r}")
 
 
-def _as_real(*arrays):
-    """The arrays as floats; raises ValueError on complex input, whose
-    imaginary part the conversion would drop."""
+def _checked_input(ndim, *arrays):
+    """The arrays as floats; raises ValueError on complex input (the cast would
+    drop the imaginary part) and unless they share one ndim-d non-empty shape."""
     if any(np.iscomplexobj(a) for a in arrays):
         raise ValueError("complex entries")
-    return [np.asarray(a, dtype=float) for a in arrays]
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    shapes = [a.shape for a in arrays]
+    if len(shapes[0]) != ndim or len(set(shapes)) > 1:
+        raise ValueError(f"expected {ndim}-d arrays of one shape, got {shapes}")
+    if 0 in shapes[0]:
+        raise ValueError(f"Z has no entries, shape {shapes[0]}")
+    return arrays
+
+
+def _check_nonzero(size):  # a norm of Z, or z2 per system of a batch
+    if np.any(size == 0.0):
+        raise ValueError("Z is identically zero (zero hyperradius)")
 
 
 def partition_batch(mass, z, zdot):
@@ -165,17 +177,13 @@ def partition_batch(mass, z, zdot):
 
     z, zdot: (B, d, n) arrays in any memory layout.  Returns a dict of (B,)
     arrays keyed by BATCH_FIELDS plus a boolean "degenerate" array.  Raises
-    ValueError on a mass that is not finite and > 0, an empty batch,
-    complex or non-finite entries, a zero hyperradius, or a system whose z2
-    or z2 * zd2 is not a normal double (zdot == 0 is accepted).
+    ValueError on a mass that is not a real, finite scalar > 0, what
+    _checked_input(3, ...) refuses, non-finite entries, Z = 0, or z2 or
+    z2 * zd2 outside the normal double range (zd2 = 0 is accepted).
     """
     _check_mass(mass)
-    z, zdot = _as_real(z, zdot)
-    if z.ndim != 3 or z.shape != zdot.shape:
-        raise ValueError(f"expected matching (B, d, n) stacks, got {z.shape} vs {zdot.shape}")
+    z, zdot = _checked_input(3, z, zdot)
     nsys, d, n = z.shape
-    if nsys == 0:
-        raise ValueError("empty batch: no systems")
     m = min(d, n)
     m2 = mass * mass
     z = _lanes(z)
@@ -192,8 +200,7 @@ def partition_batch(mass, z, zdot):
     # scanned only to tell that from overflow.
     if not finite and not (np.isfinite(z).all() and np.isfinite(zdot).all()):
         raise ValueError("non-finite entries in batch")
-    if np.any(z2 == 0.0):
-        raise ValueError("zero hyperradius")
+    _check_nonzero(z2)
     in_range = (z2 >= _NORMAL_MIN) & (z2 <= _NORMAL_MAX) & (
         (zd2 == 0.0) | ((scale >= _NORMAL_MIN) & (scale <= _NORMAL_MAX)))
     if not np.all(in_range):

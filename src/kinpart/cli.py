@@ -7,12 +7,12 @@ Subcommands:
   verify        re-check a simulate CSV against the closed-form means
   oracle-check  cross-validate the fast paths against the brute-force ones
 
-All numeric output uses shortest round-trip decimals, so parsing a written
-CSV reproduces every value exactly, and rerunning a configuration yields a
-byte-identical file.  The simulate header records the flags plus the fixed
-solve tolerances gap_tol and zero_tol, so a header is enough to rerun it.
-The rows follow harness.CSV_COLUMNS (harness.report_rows), and verify hands
-the rows it reads straight to harness.verify_report.
+The simulate CSV is harness's: simulate writes it with
+harness.write_reports_csv, and verify reads it with read_reports_csv and
+hands the rows straight to harness.verify_report.  Its header records the
+flags plus the fixed solve tolerances gap_tol and zero_tol, so a header is
+enough to rerun it, and rerunning a configuration yields a byte-identical
+file.
 The number of forked worker processes comes from the KINPART_THREADS
 environment variable (a positive integer; 1 if unset); the rest are flags.
 """
@@ -26,13 +26,13 @@ import numpy as np
 
 from ._batch import GAP_TOL, MOMENTA, ZERO_TOL
 from .ensemble import MASS_MODES, TOTAL_MASS, sample_system_block, substream
-from .harness import CSV_COLUMNS, report_rows, run_experiment, verify_report
+# cmd_simulate looks write_reports_csv up here, where perfbench/spans.py wraps it.
+from .harness import (CSV_FORMAT, read_reports_csv, run_experiment, verify_report,
+                      write_reports_csv)
 from .partitions import (
     _unit_scaled, compute_partition, eigenvector_split_oracle, momenta_direct,
     project_oracle,
 )
-
-CSV_FORMAT = "kinpart-simulate-csv/1"
 
 ORACLE_MAX_D = 5
 ORACLE_MAX_N = 100
@@ -40,14 +40,6 @@ ORACLE_MAX_N = 100
 # eigenvector_split_oracle; the momenta go against momenta_direct.
 _PROJECTED = ("T_ext", "T_int", "T_rot", "E_out", "E_in")
 _SPLIT = ("E_outA", "E_outB", "E_inA", "E_inB")
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def load_system_file(path):
@@ -103,48 +95,6 @@ def cmd_partition(args):
     out["degenerate"] = result.degenerate
     print(json.dumps(out, indent=2, allow_nan=False))
     return 0
-
-
-def write_reports_csv(path, reports, config):
-    lines = [f"# {CSV_FORMAT} config={json.dumps(config, sort_keys=True)}",
-             ",".join(CSV_COLUMNS)]
-    lines += [",".join(map(_fmt, row.values())) for row in report_rows(reports)]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def read_reports_csv(path):
-    """Parse a simulate CSV back into (config, row dicts)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].startswith(f"# {CSV_FORMAT} config="):
-        raise ValueError(f"{path} is not a {CSV_FORMAT} file")
-    config = json.loads(lines[0].split("config=", 1)[1])
-    if len(lines) < 2:
-        raise ValueError(f"{path} has no column header")
-    if tuple(lines[1].split(",")) != CSV_COLUMNS:
-        raise ValueError(f"unexpected column header in {path}")
-    ints = {"d", "N", "count", "degenerate_excluded", "seed"}
-    strings = {"mass_mode", "term"}
-    rows = []
-    for line in lines[2:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ValueError(f"malformed row in {path}: {line!r}")
-        row = {}
-        for key, raw in zip(CSV_COLUMNS, parts):
-            if raw == "":
-                row[key] = None
-            elif key in strings:
-                row[key] = raw
-            elif key in ints:
-                row[key] = int(raw)
-            else:
-                row[key] = float(raw)
-        rows.append(row)
-    return config, rows
 
 
 def cmd_simulate(args):

@@ -23,19 +23,23 @@ TRACKED_TERMS is TERMS followed by its names.  Systems flagged degenerate
 are excluded from the singular-expansion statistics only; the exclusion
 count is reported.
 
-Each term of a run is one row keyed by CSV_COLUMNS (report_rows), the
-layout the simulate CSV writes and reads back; verify_report checks such
-rows, so a run in memory and its CSV are verified by the same code.
+Each term of a run is one row keyed by CSV_COLUMNS (report_rows), which
+write_reports_csv and read_reports_csv carry as the simulate CSV, typed by
+RunReport's and TermReport's fields; verify_report checks such rows, so a
+run in memory and its CSV are verified by the same code.
 """
 
+import csv
+import json
 import math
 import os
 from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
 from ._batch import TERMS, partition_batch
-from .ensemble import MASS_MODES, MODE_CODES, draw_systems, substream
+from .ensemble import MASS_MODES, MODE_CODES, TOTAL_MASS, draw_systems, substream
 # Not called here: perfbench/spans.py wraps the sampler under this name.
 from .ensemble import sample_system_block  # noqa: F401
 from .expectations import conjecture_means
@@ -161,13 +165,6 @@ class TermReport:
     degenerate_excluded: int = 0
 
 
-# One CSV row per (d, N, mode, term): the run's keys, TermReport's fields in
-# order with minimum/maximum written as min/max, and the seed.
-CSV_COLUMNS = ("d", "N", "x_abscissa", "mass_mode",
-               *({"minimum": "min", "maximum": "max"}.get(f.name, f.name)
-                 for f in fields(TermReport)), "seed")
-
-
 @dataclass(frozen=True)
 class RunReport:
     """All term reports for one (d, N, mode) at one seed."""
@@ -182,13 +179,51 @@ class RunReport:
     terms: dict
 
 
+CSV_FORMAT = "kinpart-simulate-csv/1"
+# One CSV row per (d, N, mode, term): four run fields, TermReport's fields and
+# the seed, each parsed by its field's type (the first of a union: float | None).
+_TYPES = {f.name: f.type for f in fields(RunReport) + fields(TermReport)}
+_CSV_FIELDS = ("d", "N", "x_abscissa", "mode", *(f.name for f in fields(TermReport)), "seed")
+CSV_COLUMNS = tuple({"mode": "mass_mode", "minimum": "min", "maximum": "max"}.get(f, f)
+                    for f in _CSV_FIELDS)
+_PARSERS = [(get_args(_TYPES[f]) or (_TYPES[f],))[0] for f in _CSV_FIELDS]
+
+
 def report_rows(reports):
     """Each term of each RunReport as a dict keyed by CSV_COLUMNS, in the
     order the CSV lists them."""
     for rep in reports:
         for tr in rep.terms.values():
-            yield dict(zip(CSV_COLUMNS, (rep.d, rep.N, rep.x_abscissa, rep.mode,
-                                         *vars(tr).values(), rep.seed)))
+            yield dict(zip(CSV_COLUMNS, map({**vars(rep), **vars(tr)}.get, _CSV_FIELDS)))
+
+
+def write_reports_csv(path, reports, config):
+    """A CSV_FORMAT line holding the config as JSON, then report_rows(reports)
+    under a CSV_COLUMNS header; floats in shortest round-trip form, None empty."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(f"# {CSV_FORMAT} config={json.dumps(config, sort_keys=True)}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerows([CSV_COLUMNS, *(row.values() for row in report_rows(reports))])
+
+
+def read_reports_csv(path):
+    """Parse a simulate CSV back into (config, row dicts keyed by
+    CSV_COLUMNS), skipping blank lines; the inverse of write_reports_csv."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        head = handle.readline()
+        if not head.startswith(f"# {CSV_FORMAT} config="):
+            raise ValueError(f"{path} is not a {CSV_FORMAT} file")
+        config = json.loads(head.split("config=", 1)[1])
+        lines = csv.reader(handle)
+        if tuple(next(lines, ())) != CSV_COLUMNS:
+            raise ValueError(f"{path} has no column header or an unexpected one")
+        rows = []
+        for parts in filter(None, lines):
+            if len(parts) != len(CSV_COLUMNS):
+                raise ValueError(f"malformed row in {path}: {','.join(parts)!r}")
+            rows.append({key: None if raw == "" else parse(raw)
+                         for key, parse, raw in zip(CSV_COLUMNS, _PARSERS, parts)})
+    return config, rows
 
 
 @dataclass(frozen=True)
@@ -262,7 +297,7 @@ def _block_summary(d, N, mode, seed, block_index, count):
     step = max(1, CHUNK_ENTRIES // (d * N))
     # In random mode a chunk's masses and their scale factors, at most
     # CHUNK_ENTRIES // d doubles each, stay alive while the engine runs.
-    chunks = [partition_batch(2.0, z, zdot)
+    chunks = [partition_batch(TOTAL_MASS, z, zdot)
               for z, zdot, _ in draw_systems(d, N, mode, rng, count, step)]
     res = {key: np.concatenate([chunk[key] for chunk in chunks])
            for key in chunks[0]}

@@ -33,9 +33,10 @@ values (Bjorck, Numerical Methods for Least Squares Problems, 1996, 1.4
 and 2.7).  All of them cut singular values at the engine's
 ZERO_TOL * xi_1, and both split oracles test for repeated live singular
 values with the engine's GAP_TOL.  Every entry point here takes its
-matrices through one gate, _unit_scaled, which refuses input that is not
-a non-empty, finite, real 2-d matrix and rescales the rest by powers of
-two.
+matrices through one gate, _unit_scaled on _batch._checked_input, which
+refuses input that is not a non-empty, finite, real 2-d matrix and
+rescales the rest by powers of two.  All but svd refuse Z = 0, and all
+that take a mass refuse one that is not a real, finite scalar > 0.
 """
 
 from dataclasses import dataclass, make_dataclass
@@ -43,26 +44,20 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from ._batch import (
-    BATCH_FIELDS, GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _as_real, _check_mass,
-    _lanes, _slab_sum, _thin_svd, partition_batch,
+    BATCH_FIELDS, GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _check_mass, _check_nonzero,
+    _checked_input, _lanes, _slab_sum, _thin_svd, partition_batch,
 )
 
 
 def _unit_scaled(*mats):
     """Each matrix rescaled by a power of two, which is exact, to entries in
-    [1/2, 1), followed by the exponents that scale them back.  Raises
-    ValueError unless the matrices share one non-empty 2-d shape and every
-    entry is real and finite."""
-    mats = _as_real(*mats)
-    shape = mats[0].shape
-    if len(shape) != 2 or any(m.shape != shape for m in mats):
-        raise ValueError("expected 2-d matrices of one shape, got "
-                         + " vs ".join(str(m.shape) for m in mats))
-    if mats[0].size == 0:
-        raise ValueError(f"Z has no entries, shape {shape}")
-    if not all(np.all(np.isfinite(m)) for m in mats):
+    [1/2, 1), then the exponents that scale them back.  Raises ValueError on
+    what _checked_input(2, ...) refuses and on non-finite entries."""
+    mats = _checked_input(2, *mats)
+    peaks = [np.max(np.abs(m)) for m in mats]  # nan or inf at a non-finite entry
+    if not np.isfinite(peaks).all():
         raise ValueError("non-finite entries")
-    exps = [np.frexp(np.max(np.abs(m)))[1] for m in mats]
+    exps = [np.frexp(peak)[1] for peak in peaks]
     return (*(np.ldexp(m, -e) for m, e in zip(mats, exps)), *exps)
 
 
@@ -124,9 +119,8 @@ def compute_partition(mass, z, zdot):
     their partitions, so the five partition identities hold by
     construction.  The degenerate flag marks (numerically) repeated
     non-zero singular values, where the singular-expansion terms come from
-    the regularized solve.  Raises ValueError on a mass that is not finite
-    and > 0, an empty Z, non-finite input, a zero hyperradius, or an
-    energy term beyond the double range (results below it come out 0).
+    the regularized solve.  Raises ValueError on what the gate refuses (see
+    above) and on an energy term beyond the double range (below it, 0).
     The momenta grow as ||Z||^2 ||Zdot||^2, so they can overflow where the
     terms do not; momenta is then None.
     """
@@ -192,9 +186,8 @@ def svd_rates(z, zdot):
     shapes, non-finite entries or a zero z.
     """
     z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
-    if not np.any(z):
-        raise ValueError("Z is identically zero")
     u, xi, vt = np.linalg.svd(z, full_matrices=False)
+    _check_nonzero(xi[0])
     xidot = np.where(xi > ZERO_TOL * xi[0], np.sum(u * (zdot @ vt.T), axis=0), 0.0)
     return np.ldexp(xi, z_exp), np.ldexp(xidot, zdot_exp)
 
@@ -212,8 +205,8 @@ def momenta_direct(mass, z, zdot):
     J from the d(d-1)/2 antisymmetrized row sums, K from the n(n-1)/2
     column sums, Lambda from all dn(dn-1)/2 minors of the flattened pair,
     L from the minors of svd_rates' singular values and rates.  Quadratic
-    cost; oracle use only.  Raises ValueError on a mass that is not finite
-    and > 0, and on what svd_rates refuses.
+    cost; oracle use only.  Raises ValueError on a mass that is not a real,
+    finite scalar > 0, and on what svd_rates refuses.
     """
     _check_mass(mass)
     xi, xidot = svd_rates(z, zdot)
@@ -264,6 +257,7 @@ def project_oracle(mass, z, zdot):
     z = _unit_scaled(z, zdot)[0]
     target = np.asarray(zdot, dtype=float).ravel()
     xi = np.linalg.svd(z, compute_uv=False)
+    _check_nonzero(xi[0])
     rot, kin = _spans(z)
 
     def projected(a):
@@ -312,6 +306,7 @@ def eigenvector_split_oracle(mass, z, zdot):
     z = _unit_scaled(z, zdot)[0]
     zdot = np.asarray(zdot, dtype=float)
     u, xi, vt = np.linalg.svd(z)
+    _check_nonzero(xi[0])
     if not _live_values_distinct(xi):
         raise ValueError("repeated live singular values: the split is not unique")
     k = int(np.count_nonzero(xi > ZERO_TOL * xi[0]))

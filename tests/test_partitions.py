@@ -6,7 +6,7 @@ import pytest
 
 from frames import haar, reduction_frame
 from kinpart import (
-    compute_partition, eigenvector_split_oracle, momenta_direct,
+    compute_partition, eigenvector_split_oracle, momenta_direct, momenta_fast,
     partition_batch, project_oracle, sample_system_block, substream,
     svd_rates,
 )
@@ -549,30 +549,40 @@ def test_degenerate_flag_and_surviving_identities():
 
 
 def test_zero_hyperradius_rejected():
-    with pytest.raises(ValueError):
-        compute_partition(MASS, np.zeros((2, 3)), np.ones((2, 3)))
+    # every (mass, Z, Zdot) entry point, and one zero system in a batch; the
+    # split oracles would otherwise answer with zeros and a valid split
+    z, zdot = np.zeros((2, 3)), np.ones((2, 3))
+    for route in (compute_partition, project_oracle, eigenvector_split_oracle,
+                  momenta_direct, momenta_fast):
+        with pytest.raises(ValueError, match="Z is identically zero"):
+            route(MASS, z, zdot)
+    with pytest.raises(ValueError, match="Z is identically zero"):
+        svd_rates(z, zdot)
+    with pytest.raises(ValueError, match="Z is identically zero"):
+        partition_batch(MASS, np.stack([zdot, z]), np.stack([zdot, zdot]))
 
 
 @pytest.mark.parametrize("mass, shape, match", [
     (-2.0, (2, 4), "mass"), (0.0, (2, 4), "mass"), (np.nan, (2, 4), "mass"),
     (np.inf, (2, 4), "mass"), (MASS, (0, 3), "no entries"),
+    (np.array([1.0, 2.0]), (2, 4), "mass"), ("2", (2, 4), "mass"),
+    (MASS, (2, 0), "no entries"),
 ])
 def test_invalid_mass_or_empty_z_refused(mass, shape, match):
     rng = substream(3, 20)
     z, zdot = rng.standard_normal(shape), rng.standard_normal(shape)
     with pytest.raises(ValueError, match=match):
         compute_partition(mass, z, zdot)
-    if z.size:
-        with pytest.raises(ValueError, match=match):
-            partition_batch(mass, z[None], zdot[None])
+    with pytest.raises(ValueError, match=match):
+        partition_batch(mass, z[None], zdot[None])
 
 
-@pytest.mark.parametrize("mass", [-2.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("mass", [-2.0, 0.0, np.nan, np.inf, np.array([1.0, 2.0]), "2"])
 @pytest.mark.parametrize("oracle", [project_oracle, eigenvector_split_oracle,
                                     momenta_direct])
 def test_oracles_refuse_invalid_mass(oracle, mass):
     z, zdot, _ = sample_system_block(2, 4, "equal", substream(3, 21), 1)
-    with pytest.raises(ValueError, match="mass must be finite and > 0"):
+    with pytest.raises(ValueError, match="mass must be a real scalar, finite and > 0"):
         oracle(mass, z[0], zdot[0])
 
 
@@ -627,8 +637,10 @@ def test_complex_input_refused_at_both_gates():
 
 
 def test_batch_refuses_an_empty_batch():
-    with pytest.raises(ValueError, match="empty batch"):
-        partition_batch(MASS, np.zeros((0, 2, 3)), np.zeros((0, 2, 3)))
+    # no systems, or systems of zero width, with compute_partition's message
+    for shape in ((0, 2, 3), (3, 0, 4), (3, 2, 0)):
+        with pytest.raises(ValueError, match="Z has no entries"):
+            partition_batch(MASS, np.zeros(shape), np.zeros(shape))
 
 
 def test_batch_rejects_non_finite_input():
