@@ -99,8 +99,7 @@ def _thin_svd(z, z2):
     n, d, _ = z.shape
     rotated, vcols = jacobi_orthogonalize(z.transpose(1, 0, 2) if d <= n else z, z2)
     m = len(rotated)
-    # The order the CSV bytes rest on: the long side in turn, pairwise when m == 1.
-    xi = np.sqrt(_lane_sum((rotated * rotated).swapaxes(0, 1), pairwise=m == 1))
+    xi = np.sqrt(_lane_sum((rotated * rotated).swapaxes(0, 1)))
     order = np.argsort(-xi, axis=0, kind="stable")
     lanes = np.arange(xi.shape[1])
     xi = xi[order, lanes]
@@ -149,7 +148,7 @@ def _frame_rates(zdot, dmat, xmat):
 
 def _check_mass(mass):
     if not (isinstance(mass, (int, float, np.integer, np.floating))
-            and np.isfinite(mass) and mass > 0.0):
+            and not isinstance(mass, bool) and np.isfinite(mass) and mass > 0.0):
         raise ValueError(f"mass must be a real scalar, finite and > 0, got {mass!r}")
 
 

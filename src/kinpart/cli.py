@@ -53,14 +53,15 @@ def load_system_file(path):
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object")
     try:
-        masses = np.asarray(doc["masses"], dtype=float)
-        positions = np.asarray(doc["positions"], dtype=float)
-        velocities = np.asarray(doc["velocities"], dtype=float)
+        arrays = [np.asarray(doc[key], dtype=object)
+                  for key in ("masses", "positions", "velocities")]
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in {path}") from exc
-    except TypeError as exc:
+    # A JSON string or boolean would cast to a float; a ragged list leaves a list.
+    if not all(type(v) in (int, float) for a in arrays for v in a.flat):
         raise ValueError(f"masses, positions and velocities must be arrays "
-                         f"of numbers in {path}") from exc
+                         f"of numbers in {path}")
+    masses, positions, velocities = (a.astype(float) for a in arrays)
     if masses.ndim != 1 or masses.size == 0:
         raise ValueError("masses must be a non-empty list of numbers")
     with np.errstate(over="ignore"):  # checked just below

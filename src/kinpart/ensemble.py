@@ -40,8 +40,9 @@ MODE_CODES = {EQUAL_MASSES: 0, RANDOM_MASSES: 1}
 # Below this, 1/sqrt(mass) and 1/norm overflow; the events have probability
 # zero and trigger a redraw.
 _UNDERFLOW = 1e-300
-# Entries per slice of the Gaussian draws whose squares are summed at once.
-_NORM_ENTRIES = 2**17
+# Entries per temporary, 1 MB: the bound on a slice of Gaussian draws squared
+# at once and on harness's chunks.  It sets memory, not sampled values.
+CHUNK_ENTRIES = 2**17
 
 
 def substream(seed, *key):
@@ -56,10 +57,10 @@ def substream(seed, *key):
 
 def _row_norms(chi):
     """Euclidean norms of the rows of a (count, d) array, squared in slices
-    of about _NORM_ENTRIES entries so no block-sized temporary is formed;
+    of about CHUNK_ENTRIES entries so no block-sized temporary is formed;
     each row's sum is the same as over the whole array."""
     norms = np.empty(len(chi))
-    step = max(1, _NORM_ENTRIES // chi.shape[1])
+    step = max(1, CHUNK_ENTRIES // chi.shape[1])
     for lo in range(0, len(chi), step):
         part = chi[lo:lo + step]
         norms[lo:lo + step] = np.sum(part * part, axis=1)
@@ -158,9 +159,8 @@ def draw_systems(d, N, mode, rng, count, step):
         if eta is not None:
             masses = TOTAL_MASS * eta[lo:hi] / np.sum(eta[lo:hi], axis=1)[:, None]
 
-        # The order the CSV bytes rest on: particles in turn, pairwise at d == 1.
-        w -= _lane_sum(w, pairwise=d == 1) / N
-        wdot -= _lane_sum(wdot, pairwise=d == 1) / N
+        w -= _lane_sum(w) / N
+        wdot -= _lane_sum(wdot) / N
         if masses is not None:
             scale = (1.0 / np.sqrt(masses)).T[:, None]
             w *= scale

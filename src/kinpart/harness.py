@@ -9,8 +9,8 @@ largest N first, in this process with one worker or one job, else on one
 pool of min(KINPART_THREADS, jobs, usable CPUs) forked worker processes.
 
 Within a block, ensemble.draw_systems takes the draws whole first, then
-yields chunks of at most max(1, CHUNK_ENTRIES // (d * N)) systems in index
-order, and each chunk goes through the partition engine as it comes.
+yields chunks of max(1, ensemble.CHUNK_ENTRIES // (d * N)) systems or fewer
+in index order, and each chunk goes through the partition engine as it comes.
 The chunks' terms are concatenated and StatAccumulator.from_block runs on
 the whole block, one stack of rows for the expansion terms and one for the
 rest, so no sum and no CSV byte depends on the chunk size.
@@ -39,7 +39,8 @@ from typing import get_args
 import numpy as np
 
 from ._batch import TERMS, partition_batch
-from .ensemble import MASS_MODES, MODE_CODES, TOTAL_MASS, draw_systems, substream
+from .ensemble import (CHUNK_ENTRIES, MASS_MODES, MODE_CODES, TOTAL_MASS, draw_systems,
+                       substream)
 # Not called here: perfbench/spans.py wraps the sampler under this name.
 from .ensemble import sample_system_block  # noqa: F401
 from .expectations import conjecture_means
@@ -47,10 +48,6 @@ from .expectations import conjecture_means
 # Block size is part of the reproducibility contract: substreams are keyed
 # by block index, so changing this constant changes sampled values.
 BLOCK_SIZE = 4096
-
-# Entries per (rows, d, N) array of a chunk: 1 MB, so a chunk's temporaries
-# stay small whatever the block holds.  It sets memory, not sampled values.
-CHUNK_ENTRIES = 2**17
 
 THREADS_ENV = "KINPART_THREADS"
 

@@ -22,24 +22,24 @@ _MAX_SWEEPS = 60
 _COLUMN_FREEZE = 1e-15
 
 
-def _lane_sum(a, pairwise=True):
+def _lane_sum(a):
     """Sum over the leading axis of a lane array, in numpy's order.
 
     A lane array keeps the system index as its last, contiguous axis, so
     every elementwise step runs over all systems at once and gives the same
     bits in any layout.  Sums are another matter: their order fixes the
     bits of every result and of every simulate CSV, and this is the one
-    place that sets it.
+    place that sets it.  It is the order of np.sum(axis=1) over the same
+    terms held system-major, as a C-ordered (B, n, ...) array:
 
-    - pairwise=True gives the bits of np.sum over a contiguous innermost
-      axis of the same terms.  numpy adds fewer than 8 terms in order.  Up
-      to 128 it keeps 8 interleaved partial sums r0..r7, combines them as
-      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds the
-      n mod 8 remaining terms in order.  Above 128 it splits at n/2
-      rounded down to a multiple of 8 and sums both halves that way.
-      Higham, SIAM J. Sci. Comput. 14(4), 1993, analyses this order.
-    - pairwise=False adds the terms one at a time, in order: numpy's order
-      over any axis that is not innermost.
+    - with one term per lane in each row (a.size == n * B), numpy sums each
+      lane's n contiguous terms pairwise.  It adds fewer than 8 terms in
+      order.  Up to 128 it keeps 8 interleaved partial sums r0..r7,
+      combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+      and then adds the n mod 8 remaining terms in order.  Above 128 it
+      splits at n/2 rounded down to a multiple of 8 and sums both halves
+      that way (Higham, SIAM J. Sci. Comput. 14(4), 1993).
+    - with more terms per lane in each row, it adds the rows in order.
 
     np.add.reduce over the leading axis runs its inner loop along the
     lanes, so it adds rows in order.  With one lane numpy drops that axis
@@ -47,25 +47,25 @@ def _lane_sum(a, pairwise=True):
     order in one call; an in-order sum of one lane is accumulated instead.
     The rows must not be the innermost axis in memory.
     """
-    n = len(a)
-    if pairwise and a.size == n:
+    n, lanes = len(a), a.shape[-1]
+    if a.size > n * lanes:
+        if lanes == 1:
+            # + 0.0 turns an all -0.0 sum into 0.0, as reduce's start value does.
+            return np.add.accumulate(a, axis=0)[-1] + 0.0
         return np.add.reduce(a, axis=0)
-    if pairwise and n >= 8:
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return _lane_sum(a[:half]) + _lane_sum(a[half:])
-        full = n - n % 8
-        r = np.add.reduce(a[:full].reshape((full // 8, 8) + a.shape[1:]), axis=0)
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        total = r[0] + r[1]
-        for row in a[full:]:
-            total += row
-        return total
-    if a.shape[-1] == 1:
-        # + 0.0 turns an all -0.0 sum into 0.0, as reduce's start value does.
-        return np.add.accumulate(a, axis=0)[-1] + 0.0
-    return np.add.reduce(a, axis=0)
+    if lanes == 1 or n < 8:
+        return np.add.reduce(a, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _lane_sum(a[:half]) + _lane_sum(a[half:])
+    full = n - n % 8
+    r = np.add.reduce(a[:full].reshape((full // 8, 8) + a.shape[1:]), axis=0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for row in a[full:]:
+        total += row
+    return total
 
 
 def jacobi_orthogonalize(cols, norm2):
@@ -91,8 +91,6 @@ def jacobi_orthogonalize(cols, norm2):
     work[:, :length] = cols
     idx = np.arange(m)
     work[idx, length + idx] = 1.0
-    if m < 2:
-        return work[:, :length], work[:, length:]
     cut2 = _COLUMN_FREEZE**2 * norm2
     for _ in range(_MAX_SWEEPS):
         rotated_any = False

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kinpart.cli
-from kinpart import harness, report_rows, run_experiment, verify_report
+from kinpart import ensemble, harness, report_rows, run_experiment, verify_report
 from kinpart.cli import CSV_FORMAT, main, read_reports_csv, write_reports_csv
 
 # Unit separation: after mass scaling by (m/M)^(1/2) = 2^(-1/2) the position
@@ -125,6 +125,14 @@ def test_partition_bad_inputs(tmp_path, capsys):
         code, out, err = run_cli(capsys, "partition", "--input", write_system(tmp_path, doc))
         assert (code, out) == (2, "")
         assert err == "error: masses must be a non-empty list of numbers\n"
+    # a JSON boolean or string, which a float cast would read as a number
+    for key, value in (("velocities", [[0.0, True], [0.0, -1.0]]),
+                       ("masses", ["1", "1e0"])):
+        doc = dict(TWO_PARTICLE_RIGHT_ANGLE, **{key: value})
+        code, out, err = run_cli(capsys, "partition", "--input", write_system(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: masses, positions and velocities must be arrays "
+                              "of numbers")
     # a top level that is not an object, and a field that holds one
     for doc in ([1, 2], dict(TWO_PARTICLE_RIGHT_ANGLE, masses={"a": 1})):
         code, out, err = run_cli(capsys, "partition", "--input",
@@ -340,9 +348,12 @@ def test_simulate_bytes_do_not_depend_on_chunk_size(tmp_path, capsys, monkeypatc
                                                     d, n_min, n_max, masses):
     # 50 entries make chunks of 3 to 8 systems, and 1001 samples leave a
     # partial last chunk at every N; 2**30 runs each block as one chunk.
+    # The bound also slices the Gaussian row norms of the d = 3 case: 16
+    # rows a slice at 50 entries, one slice at 2**30.
     outputs = []
     for entries in (50, 2**30):
         monkeypatch.setattr(harness, "CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(ensemble, "CHUNK_ENTRIES", entries)
         out = tmp_path / f"{entries}.csv"
         assert run_cli(capsys, "simulate", "--d", d, "--n-min", n_min,
                        "--n-max", n_max, "--samples", "1001", "--masses", masses,

@@ -64,7 +64,7 @@ def test_ball_d1_mean_zero():
 def test_row_norms_in_slices_keep_each_row_bits(monkeypatch):
     # slices of 24 // d rows, most with a partial last slice, give each
     # row the bits of one np.sum over the whole array
-    monkeypatch.setattr(ensemble, "_NORM_ENTRIES", 24)
+    monkeypatch.setattr(ensemble, "CHUNK_ENTRIES", 24)
     rng = substream(4, 5)
     for d in (1, 3, 4, 9, 12):
         chi = rng.standard_normal((200, d))

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from kinpart import substream, svd
+from kinpart import _batch, compute_partition, ensemble, linalg, substream, svd
+from kinpart.ensemble import MASS_MODES
+from kinpart.harness import _block_summary
 from kinpart.linalg import _COLUMN_FREEZE, _lane_sum, jacobi_orthogonalize
 
 
@@ -168,20 +170,21 @@ def test_lane_sum_is_numpys_innermost_sum(lanes):
 
 
 def test_lane_sum_in_order_for_one_lane():
-    # numpy sums a lone axis of 8 or more terms pairwise; one lane must
-    # still add its rows one at a time, as it does among many lanes.
+    # numpy sums a lone axis of 8 or more terms pairwise; one lane with
+    # k > 1 terms per row must still add its rows one at a time, as it
+    # does among many lanes.
     rng = substream(1, 11)
     pairwise_differs = 0
     for n in (8, 9, 17, 100, 300):
-        for shape in ((n, 1), (n, 3, 1)):
-            terms = spread_terms(rng, shape)
-            want = np.zeros(shape[1:])
+        for k in (2, 3):
+            terms = spread_terms(rng, (n, k, 1))
+            want = np.zeros((k, 1))
             for row in terms:
                 want = want + row
-            assert _lane_sum(terms, pairwise=False).tobytes() == want.tobytes()
+            assert _lane_sum(terms).tobytes() == want.tobytes()
             wide = np.repeat(terms, 4, axis=-1)
-            assert np.array_equal(_lane_sum(wide, pairwise=False)[..., :1], want)
-            pairwise_differs += np.add.reduce(terms[:, 0, ...], axis=0).tobytes() != want[0].tobytes()
+            assert np.array_equal(_lane_sum(wide)[..., :1], want)
+            pairwise_differs += np.add.reduce(terms[:, 0, 0]).tobytes() != want[0, 0].tobytes()
     assert pairwise_differs  # the terms are order-sensitive
 
 
@@ -191,15 +194,17 @@ def test_lane_sum_keeps_signed_zeros_as_numpy():
             terms = np.full((n, lanes), -0.0)
             got = _lane_sum(terms)
             assert got.tobytes() == np.sum(terms.T, axis=-1).tobytes()
-            assert _lane_sum(terms, pairwise=False).tobytes() == np.zeros(lanes).tobytes()
+            rows = np.full((n, 2, lanes), -0.0)
+            assert _lane_sum(rows).tobytes() == np.zeros((2, lanes)).tobytes()
 
 
-def parent_lane_sum(a, pairwise=True):
+def parent_lane_sum(a):
     """numpy's pairwise order emulated with 8 partial sums, one lane or
-    many: the reference that _lane_sum's one-lane np.add.reduce must match
-    bit for bit."""
+    many, for one term per lane in each row; rows in order otherwise: the
+    reference that _lane_sum's one-lane np.add.reduce must match bit for
+    bit."""
     n = len(a)
-    if pairwise and n >= 8:
+    if a.size == n * a.shape[-1] and n >= 8:
         if n > 128:
             half = n // 2 - n // 2 % 8
             return parent_lane_sum(a[:half]) + parent_lane_sum(a[half:])
@@ -226,8 +231,63 @@ def test_lane_sum_one_lane_matches_parent_formula():
             zeros = np.full(shape, -0.0)
             swapped = np.ascontiguousarray(terms.swapaxes(0, 1)).swapaxes(0, 1)
             for a in (terms, zeros, swapped):
-                for pairwise in (True, False):
-                    want = parent_lane_sum(a, pairwise)
-                    got = _lane_sum(a, pairwise)
-                    assert got.shape == want.shape, (n, k, pairwise)
-                    assert got.tobytes() == want.tobytes(), (n, k, pairwise)
+                want = parent_lane_sum(a)
+                got = _lane_sum(a)
+                assert got.shape == want.shape, (n, k)
+                assert got.tobytes() == want.tobytes(), (n, k)
+
+
+def numpy_lane_sum(a):
+    """np.sum(axis=1) over a's terms held system-major, as a C-ordered
+    (B, n, ...) array, laid out as _lane_sum's result: the order it keeps."""
+    system_major = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    return np.moveaxis(np.sum(system_major, axis=1), 0, -1)
+
+
+def assert_same_sum(a):
+    got, want = _lane_sum(a), numpy_lane_sum(a)
+    assert got.shape == want.shape, a.shape
+    assert got.tobytes() == want.tobytes(), a.shape
+    return got
+
+
+def test_lane_sum_is_numpys_system_major_sum():
+    # (n, B) sums pairwise and (n, k > 1, B) in order, one lane or many,
+    # for terms whose order shows in the bits, for all -0.0, and for the
+    # (n, k, B) view of a (k, n, B) array that _thin_svd sums
+    rng = substream(1, 10)
+    for n in [*range(1, 141), 200, 257, 300, 511, 1000, 1025]:
+        for lanes in (1, 2, 257):
+            for shape in [(n, lanes)] + [(n, k, lanes) for k in (1, 2, 3, 4, 9)]:
+                terms = spread_terms(rng, shape)
+                assert_same_sum(terms)
+                assert_same_sum(np.full(shape, -0.0))
+                if len(shape) == 3:
+                    assert_same_sum(np.ascontiguousarray(terms.swapaxes(0, 1)).swapaxes(0, 1))
+
+
+def test_every_lane_sum_of_a_run_is_numpys(monkeypatch):
+    # every sum of short blocks at d 1-5 and of single systems, checked
+    # against the spec above where it is taken
+    shapes = []
+
+    def checked(a):
+        shapes.append(a.shape)
+        return assert_same_sum(a)
+
+    for module in (linalg, _batch, ensemble):
+        monkeypatch.setattr(module, "_lane_sum", checked)
+    for d in range(1, 6):
+        for N in (2, 3, 9, 40):
+            for mode in MASS_MODES:
+                _block_summary(d, N, mode, 6, 0, 64)
+    rng = substream(1, 15)
+    for d in range(1, 6):
+        for n in (1, 2, 3, 9, 40):
+            z, zdot = rng.standard_normal((2, d, n))
+            compute_partition(2.0, z, zdot)
+            svd(z)
+    # both orders, the split above 128 terms, and batches of one
+    assert {len(shape) for shape in shapes} == {2, 3}
+    assert max(shape[0] for shape in shapes) > 128
+    assert {shape[-1] for shape in shapes} >= {1, 64}

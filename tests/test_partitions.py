@@ -566,7 +566,7 @@ def test_zero_hyperradius_rejected():
     (-2.0, (2, 4), "mass"), (0.0, (2, 4), "mass"), (np.nan, (2, 4), "mass"),
     (np.inf, (2, 4), "mass"), (MASS, (0, 3), "no entries"),
     (np.array([1.0, 2.0]), (2, 4), "mass"), ("2", (2, 4), "mass"),
-    (MASS, (2, 0), "no entries"),
+    (MASS, (2, 0), "no entries"), (True, (2, 4), "mass"),
 ])
 def test_invalid_mass_or_empty_z_refused(mass, shape, match):
     rng = substream(3, 20)
@@ -577,7 +577,8 @@ def test_invalid_mass_or_empty_z_refused(mass, shape, match):
         partition_batch(mass, z[None], zdot[None])
 
 
-@pytest.mark.parametrize("mass", [-2.0, 0.0, np.nan, np.inf, np.array([1.0, 2.0]), "2"])
+@pytest.mark.parametrize("mass", [-2.0, 0.0, np.nan, np.inf, np.array([1.0, 2.0]), "2",
+                                  True])
 @pytest.mark.parametrize("oracle", [project_oracle, eigenvector_split_oracle,
                                     momenta_direct])
 def test_oracles_refuse_invalid_mass(oracle, mass):
