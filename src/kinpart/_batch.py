@@ -73,8 +73,8 @@ def _slab_sum(a, b):
 
 
 def _gram(a, b):
-    """(n, p, B) x (n, q, B) lanes -> (p, q, B) Gram matrices of the rows;
-    _gram(a, a) sums j >= i only and mirrors them, which gives the same bits."""
+    """(n, p, B) x (n, q, B) lanes -> (p, q, B) particle sums of a[:, i] * b[:, j]
+    (Gram matrices, W); _gram(a, a) sums j >= i only and mirrors them, same bits."""
     _, p, nsys = a.shape
     q = b.shape[1]
     out = np.empty((p, q, nsys))
@@ -127,20 +127,16 @@ def _frame_rates(zdot, dmat, xmat):
     if d > n:
         w, rtail, stail = _frame_rates(zdot.transpose(1, 0, 2), xmat, dmat)
         return w.swapaxes(0, 1), stail, rtail
-    m = d
     # dtzd[s] = (D^T Zdot) row s, length n
-    dtzd = np.zeros((m, n, nsys))
-    for s in range(m):
+    dtzd = np.zeros((d, n, nsys))
+    for s in range(d):
         for i in range(d):
             dtzd[s] += dmat[s, i] * zdot[:, i]
-    w = np.empty((m, m, nsys))
-    for s in range(m):
-        for t in range(m):
-            w[s, t] = _lane_sum(dtzd[s] * xmat[t])
-    rtail = np.empty((m, nsys))
-    for s in range(m):
+    w = _gram(dtzd.swapaxes(0, 1), xmat.swapaxes(0, 1))
+    rtail = np.empty((d, nsys))
+    for s in range(d):
         resid = dtzd[s]
-        for t in range(m):
+        for t in range(d):
             resid -= w[s, t] * xmat[t]
         rtail[s] = _lane_sum(resid * resid)
     return w, rtail, np.zeros_like(rtail)

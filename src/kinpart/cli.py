@@ -49,7 +49,8 @@ def load_system_file(path):
     are the mass-scaled vectors (m_a / M)^(1/2) r_a.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        # Integers parse as floats, so one beyond the double range becomes inf.
+        doc = json.load(handle, parse_int=float)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object")
     try:
@@ -58,7 +59,7 @@ def load_system_file(path):
     except KeyError as exc:
         raise ValueError(f"missing key {exc} in {path}") from exc
     # A JSON string or boolean would cast to a float; a ragged list leaves a list.
-    if not all(type(v) in (int, float) for a in arrays for v in a.flat):
+    if not all(type(v) is float for a in arrays for v in a.flat):
         raise ValueError(f"masses, positions and velocities must be arrays "
                          f"of numbers in {path}")
     masses, positions, velocities = (a.astype(float) for a in arrays)
@@ -212,7 +213,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

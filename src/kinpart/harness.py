@@ -243,19 +243,15 @@ def expected_values(d, N, mode):
     """Term -> expected mean for the given ensemble.
 
     Equal masses: all 13 bounded terms.  N = 2: the same values hold for
-    any mass distribution.  Random masses otherwise: only the residual
-    mean (zero) and the structural zeros of E_outB / E_inB.
+    any mass distribution.  Random masses otherwise: the closed forms that
+    are exactly zero among T_res, E_outB and E_inB, whose means do not
+    depend on the masses.
     """
     means = conjecture_means(d, N)
     if mode == "equal" or N == 2:
         return means
-    omega = min(d, N - 1)
-    out = {"T_res": 0.0}
-    if omega == d:
-        out["E_outB"] = 0.0
-    if omega == N - 1:
-        out["E_inB"] = 0.0
-    return out
+    return {term: means[term] for term in ("T_res", "E_outB", "E_inB")
+            if means[term] == 0.0}
 
 
 def thread_count():
@@ -395,7 +391,7 @@ def verify_report(rows, sigma_threshold=4.0):
     the other cases the residual vanishes identically and its sign is
     roundoff noise).  Either check passes outright when |diff| <= ZERO_FLOOR.
     Raises ValueError on a checked row with count below 1, without the
-    mean, stderr or (for the sign check) fraction_negative it needs, or
+    d, N, mean, stderr or (for the sign check) fraction_negative it needs, or
     with a stderr that is not finite and >= 0.
     Returns (checks, summary) where the summary aggregates abs_diff /
     weighted_diff / sigma_ratio over the mean checks, mirroring how batches
@@ -407,8 +403,8 @@ def verify_report(rows, sigma_threshold=4.0):
     for row in rows:
         if row["expected"] is None:
             continue
-        sign = row["term"] == "T_res" and row["d"] >= 2 and row["N"] >= 3
-        needed = ("mean", "stderr") + (("fraction_negative",) if sign else ())
+        sign = row["term"] == "T_res" and (row["d"] or 0) >= 2 and (row["N"] or 0) >= 3
+        needed = ("d", "N", "mean", "stderr") + (("fraction_negative",) if sign else ())
         if ((row["count"] or 0) < 1 or any(row[key] is None for key in needed)
                 or not 0.0 <= row["stderr"] < math.inf):
             raise ValueError(f"{row['term']} row at N={row['N']} needs count >= 1 "

@@ -133,6 +133,14 @@ def test_partition_bad_inputs(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: masses, positions and velocities must be arrays "
                               "of numbers")
+    # a JSON integer beyond the double range parses to inf, which is refused
+    huge = 10 ** 400
+    for key, value, message in (("positions", [[huge, 0], [-1, 0]], "non-finite entries"),
+                                ("masses", [huge, 1], "masses must be finite and > 0")):
+        doc = dict(TWO_PARTICLE_RIGHT_ANGLE, **{key: value})
+        code, out, err = run_cli(capsys, "partition", "--input", write_system(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message) and err.count("\n") == 1
     # a top level that is not an object, and a field that holds one
     for doc in ([1, 2], dict(TWO_PARTICLE_RIGHT_ANGLE, masses={"a": 1})):
         code, out, err = run_cli(capsys, "partition", "--input",
@@ -523,7 +531,8 @@ def test_verify_rejects_a_csv_without_column_header(tmp_path, capsys):
 @pytest.mark.parametrize("term, column, value", [
     ("T_res", "count", "0"), ("T_rot", "mean", ""), ("T_rot", "stderr", ""),
     ("T_res", "fraction_negative", ""), ("T_lambda", "stderr", "inf"),
-    ("T_lambda", "stderr", "-1.0"), ("T_lambda", "stderr", "nan")])
+    ("T_lambda", "stderr", "-1.0"), ("T_lambda", "stderr", "nan"),
+    ("T_lambda", "N", ""), ("T_res", "d", "")])
 def test_verify_rejects_a_row_it_cannot_check(tmp_path, capsys, term, column, value):
     out = tmp_path / "run.csv"
     run_cli(capsys, "simulate", "--d", "2", "--n-min", "3", "--n-max", "3",
@@ -539,7 +548,9 @@ def test_verify_rejects_a_row_it_cannot_check(tmp_path, capsys, term, column, va
     out.write_text("\n".join(lines) + "\n")
     code, stdout, err = run_cli(capsys, "verify", "--input", str(out))
     assert (code, stdout) == (2, "")
-    assert err.startswith(f"error: {term} row at N=3 needs count >= 1") and err.count("\n") == 1
+    shown = "None" if column == "N" else "3"
+    assert err.startswith(f"error: {term} row at N={shown} needs count >= 1")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("sigma", ["nan", "-1", "inf", "0"])

@@ -309,6 +309,12 @@ def test_expected_values_by_mode():
     assert set(random) == {"T_res", "E_outB"}
     assert expected_values(2, 3, "random")["E_inB"] == 0.0
     assert len(expected_values(3, 2, "random")) == 13  # mass-independent at N=2
+    # random masses keep the closed forms that are 0: omega = d gives
+    # E_outB = 0, omega = nu gives E_inB = 0
+    for d, n_particles, zeros in ((3, 4, ("T_res", "E_outB", "E_inB")),
+                                  (4, 3, ("T_res", "E_inB")),
+                                  (1, 5, ("T_res", "E_outB"))):
+        assert expected_values(d, n_particles, "random") == dict.fromkeys(zeros, 0.0)
 
 
 def synthetic_report(d, n_particles, mode):
