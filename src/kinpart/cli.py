@@ -30,7 +30,7 @@ from .ensemble import MASS_MODES, TOTAL_MASS, sample_system_block, substream
 from .harness import (CSV_FORMAT, read_reports_csv, run_experiment, verify_report,
                       write_reports_csv)
 from .partitions import (
-    _unit_scaled, compute_partition, eigenvector_split_oracle, momenta_direct,
+    _scaled_back, _unit_scaled, compute_partition, eigenvector_split_oracle, momenta_direct,
     project_oracle,
 )
 
@@ -85,10 +85,7 @@ def cmd_partition(args):
     result = compute_partition(total, z, zdot)
     # rho from the rescaled Z, so z * z cannot overflow at any scale.
     z_unit, z_exp = _unit_scaled(z)
-    with np.errstate(over="ignore"):  # checked just below
-        rho = float(np.ldexp(np.sqrt(np.sum(z_unit * z_unit)), z_exp))
-    if not np.isfinite(rho):
-        raise ValueError("rho beyond the double range")
+    rho = float(_scaled_back(np.sqrt(np.sum(z_unit * z_unit)), z_exp, "rho"))
     out = {"M": total, "rho": rho, "d": z.shape[0], "N": z.shape[1]}
     out.update(result.terms())
     # Momenta beyond the double range print as null.

@@ -394,8 +394,8 @@ def verify_report(rows, sigma_threshold=4.0):
     d, N, mean, stderr or (for the sign check) fraction_negative it needs, or
     with a stderr that is not finite and >= 0.
     Returns (checks, summary) where the summary aggregates abs_diff /
-    weighted_diff / sigma_ratio over the mean checks, mirroring how batches
-    of such comparisons are usually quoted.
+    weighted_diff / sigma_ratio over the mean checks, taking as 0 the ratio
+    of one passed on the zero floor, which is roundoff over roundoff.
     """
     if not (math.isfinite(sigma_threshold) and sigma_threshold > 0.0):
         raise ValueError(f"sigma threshold must be finite and > 0, got {sigma_threshold!r}")
@@ -420,7 +420,8 @@ def verify_report(rows, sigma_threshold=4.0):
         "failures": sum(not c.passed for c in checks),
     }
     for key in ("abs_diff", "weighted_diff", "sigma_ratio"):
-        values = [getattr(c, key) for c in mean_checks]
+        values = [0.0 if key == "sigma_ratio" and c.abs_diff <= ZERO_FLOOR
+                  else getattr(c, key) for c in mean_checks]
         summary[f"min_{key}"] = min(values) if values else math.nan
         summary[f"max_{key}"] = max(values) if values else math.nan
         summary[f"mean_{key}"] = (sum(values) / len(values)) if values else math.nan

@@ -18,13 +18,13 @@ momentum built from the singular values and their rates.
 
 compute_partition evaluates one system as a batch of one of the engine in
 kinpart._batch, so a single system and a sampled block share every line
-of the arithmetic.  svd is the engine's thin SVD of one matrix, at any
-scale, and momenta_fast the engine's momenta of one system.  The oracles
-exist to keep the engine honest, and each takes only (mass, Z, Zdot):
+of the arithmetic.  svd is the engine's thin SVD of one matrix, and
+momenta_fast the engine's momenta of one system.  The oracles exist to
+keep the engine honest, and each takes only (mass, Z, Zdot):
 project_oracle recomputes the projections by explicit least squares over
 spanning sets of the tangent spaces, eigenvector_split_oracle the
-E_out/E_in refinements by eigenvector perturbation theory, svd_rates
-the singular values and their rates, and momenta_direct the momenta from
+E_out/E_in refinements by eigenvector perturbation theory, svd_rates the
+singular values and their rates, and momenta_direct the momenta from
 their defining component sums, with L from svd_rates' xi and xidot.  The
 oracles take their bases from one LAPACK SVD per matrix (np.linalg.svd),
 never from the Jacobi SVD they check and never from a Gram matrix, whose
@@ -32,11 +32,14 @@ eigenvectors would square the condition number near repeated singular
 values (Bjorck, Numerical Methods for Least Squares Problems, 1996, 1.4
 and 2.7).  All of them cut singular values at the engine's
 ZERO_TOL * xi_1, and both split oracles test for repeated live singular
-values with the engine's GAP_TOL.  Every entry point here takes its
-matrices through one gate, _unit_scaled on _batch._checked_input, which
-refuses input that is not a non-empty, finite, real 2-d matrix and
-rescales the rest by powers of two.  All but svd refuse Z = 0, and all
-that take a mass refuse one that is not a real, finite scalar > 0.
+values with the engine's GAP_TOL.  One scale rule holds for every entry
+point here: its matrices go in through one gate, _unit_scaled on
+_batch._checked_input, which refuses input that is not a non-empty,
+finite, real 2-d matrix and rescales the rest by powers of two, and its
+results come out through _scaled_back, which scales each back by the
+power of two of its degree and refuses one beyond the double range (one
+below it underflows to 0).  All but svd refuse Z = 0, and all that take
+a mass refuse one that is not a real, finite scalar > 0.
 """
 
 from dataclasses import dataclass, make_dataclass
@@ -44,7 +47,7 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from ._batch import (
-    BATCH_FIELDS, GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _check_mass, _check_nonzero,
+    GAP_TOL, MOMENTA, TERMS, ZERO_TOL, _check_mass, _check_nonzero,
     _checked_input, _lanes, _slab_sum, _thin_svd, partition_batch,
 )
 
@@ -59,6 +62,16 @@ def _unit_scaled(*mats):
         raise ValueError("non-finite entries")
     exps = [np.frexp(peak)[1] for peak in peaks]
     return (*(np.ldexp(m, -e) for m, e in zip(mats, exps)), *exps)
+
+
+def _scaled_back(values, exp, what):
+    """values * 2**exp, which is exact; raises ValueError where that leaves
+    the double range (below it a value underflows to 0)."""
+    with np.errstate(over="ignore"):  # checked just below
+        values = np.ldexp(values, exp)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} beyond the double range")
+    return values
 
 
 @dataclass(frozen=True)
@@ -77,16 +90,17 @@ class SvdFactors:
 
 
 def svd(z):
-    """The engine's thin SVD of one matrix, at any scale.
+    """The engine's thin SVD of one matrix.
 
     _thin_svd of z as a batch of one, taken on z rescaled by a power of
-    two, which is exact, with xi scaled back.  Raises ValueError on input
-    that is not a non-empty, finite 2-d matrix.
+    two, with xi scaled back.  Raises ValueError by the scale rule above,
+    on singular values beyond the double range too.
     """
     z, exp = _unit_scaled(z)
     lanes = _lanes(z[None])
     xi, dmat, xmat = _thin_svd(lanes, _slab_sum(lanes, lanes))
-    return SvdFactors(D=dmat[:, :, 0].T, xi=np.ldexp(xi[:, 0], exp), X=xmat[:, :, 0].T)
+    return SvdFactors(D=dmat[:, :, 0].T, xi=_scaled_back(xi[:, 0], exp, "singular values"),
+                      X=xmat[:, :, 0].T)
 
 
 MomentaResult = make_dataclass(
@@ -119,10 +133,10 @@ def compute_partition(mass, z, zdot):
     their partitions, so the five partition identities hold by
     construction.  The degenerate flag marks (numerically) repeated
     non-zero singular values, where the singular-expansion terms come from
-    the regularized solve.  Raises ValueError on what the gate refuses (see
-    above) and on an energy term beyond the double range (below it, 0).
-    The momenta grow as ||Z||^2 ||Zdot||^2, so they can overflow where the
-    terms do not; momenta is then None.
+    the regularized solve.  Raises ValueError by the scale rule above, on
+    an energy beyond the double range too.  The momenta grow as
+    ||Z||^2 ||Zdot||^2, so they can overflow where the terms do not;
+    momenta is then None.
     """
     # Every term is quadratic in Zdot and of degree 0 in Z, and the momenta
     # scale as ||Z||^2 ||Zdot||^2, so products of two squared norms
@@ -130,19 +144,14 @@ def compute_partition(mass, z, zdot):
     # or overflow whatever the scale of the input.
     z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
     res = partition_batch(mass, z[None], zdot[None])
-    nterms = len(TERMS)
-    exps = np.where(np.arange(len(BATCH_FIELDS)) < nterms,
-                    2 * zdot_exp, 2 * (z_exp + zdot_exp))
-    with np.errstate(over="ignore"):  # checked just below
-        values = np.ldexp(np.concatenate([res[name] for name in BATCH_FIELDS]), exps)
-    finite = np.isfinite(values)
-    if not finite[:nterms].all():
-        raise ValueError("energy beyond the double range")
-    values = values.tolist()
-    return PartitionResult(
-        **dict(zip(TERMS, values)), degenerate=bool(res["degenerate"][0]),
-        momenta=(MomentaResult(*values[nterms:])
-                 if finite[nterms:].all() else None))
+    terms = _scaled_back([res[name][0] for name in TERMS], 2 * zdot_exp, "energy")
+    try:
+        momenta = MomentaResult(*_scaled_back(
+            [res[name][0] for name in MOMENTA], 2 * (z_exp + zdot_exp), "momenta").tolist())
+    except ValueError:
+        momenta = None
+    return PartitionResult(**dict(zip(TERMS, terms.tolist())), momenta=momenta,
+                           degenerate=bool(res["degenerate"][0]))
 
 
 @dataclass(frozen=True)
@@ -181,15 +190,15 @@ def svd_rates(z, zdot):
     the first-order rate of a simple singular value (Stewart & Sun, Matrix
     Perturbation Theory, 1990).  xi_s is good to about eps * xi_1, so
     values at or below the engine's ZERO_TOL * xi_1 get xidot_s = 0 and all
-    others keep their rate.  Inputs are rescaled by powers of two, so any
-    scale in the double range works.  Raises ValueError on mismatched
-    shapes, non-finite entries or a zero z.
+    others keep their rate.  Raises ValueError by the scale rule above, on
+    values or rates beyond the double range too.
     """
     z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
     u, xi, vt = np.linalg.svd(z, full_matrices=False)
     _check_nonzero(xi[0])
     xidot = np.where(xi > ZERO_TOL * xi[0], np.sum(u * (zdot @ vt.T), axis=0), 0.0)
-    return np.ldexp(xi, z_exp), np.ldexp(xidot, zdot_exp)
+    return (_scaled_back(xi, z_exp, "singular values"),
+            _scaled_back(xidot, zdot_exp, "singular value rates"))
 
 
 def _pair_square_sum(outer):
@@ -204,22 +213,20 @@ def momenta_direct(mass, z, zdot):
 
     J from the d(d-1)/2 antisymmetrized row sums, K from the n(n-1)/2
     column sums, Lambda from all dn(dn-1)/2 minors of the flattened pair,
-    L from the minors of svd_rates' singular values and rates.  Quadratic
-    cost; oracle use only.  Raises ValueError on a mass that is not a real,
-    finite scalar > 0, and on what svd_rates refuses.
+    L from the minors of svd_rates' singular values and rates, all on the
+    rescaled pair.  Quadratic cost; oracle use only.  Raises ValueError by
+    the scale rule above, on momenta beyond the double range too.
     """
     _check_mass(mass)
+    z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
     xi, xidot = svd_rates(z, zdot)
-    z, zdot = np.asarray(z, dtype=float), np.asarray(zdot, dtype=float)
-    jcomp = np.einsum("ia,ja->ij", z, zdot)
-    j2 = mass * mass * _pair_square_sum(jcomp)
-    kcomp = np.einsum("ia,ib->ab", z, zdot)
-    k2 = mass * mass * _pair_square_sum(kcomp)
-    # Row-major flattening orders the index pairs (i, alpha) exactly as the
-    # condition "i < j, or i = j and alpha < beta" requires.
-    lam2 = mass * mass * _pair_square_sum(np.outer(z.ravel(), zdot.ravel()))
-    l2 = mass * mass * _pair_square_sum(np.outer(xi, xidot))
-    return MomentaResult(J2=j2, K2=k2, Lambda2=lam2, L2=l2)
+    # Row-major flattening orders the index pairs (i, alpha) of Lambda
+    # exactly as the condition "i < j, or i = j and alpha < beta" requires.
+    sums = [_pair_square_sum(outer) for outer in (
+        np.einsum("ia,ja->ij", z, zdot), np.einsum("ia,ib->ab", z, zdot),
+        np.outer(z.ravel(), zdot.ravel()), np.outer(xi, xidot))]
+    return MomentaResult(*_scaled_back(
+        [mass * mass * s for s in sums], 2 * (z_exp + zdot_exp), "momenta").tolist())
 
 
 def momenta_fast(mass, z, zdot):
@@ -250,12 +257,12 @@ def project_oracle(mass, z, zdot):
     values of Z are pairwise distinct (the engine's GAP_TOL test) the joint
     tangent component splits uniquely into the two spans; the least-squares
     coefficients from the joint factorization then give E_out and E_in.
-    When the condition fails the split is skipped and flagged.  Z is
-    rescaled by a power of two first: the terms do not depend on its scale.
+    When the condition fails the split is skipped and flagged.  Raises
+    ValueError by the scale rule above, on an energy beyond the range too.
     """
     _check_mass(mass)
-    z = _unit_scaled(z, zdot)[0]
-    target = np.asarray(zdot, dtype=float).ravel()
+    z, zdot, _, zdot_exp = _unit_scaled(z, zdot)
+    target = zdot.ravel()
     xi = np.linalg.svd(z, compute_uv=False)
     _check_nonzero(xi[0])
     rot, kin = _spans(z)
@@ -275,14 +282,9 @@ def project_oracle(mass, z, zdot):
         in_vec = kin @ coeff[rot.shape[1]:]
         e_out = 0.5 * mass * float(out_vec @ out_vec)
         e_in = 0.5 * mass * float(in_vec @ in_vec)
+    energies = (projected(rot)[0], projected(kin)[0], t_rot, e_out, e_in)
     return OracleProjections(
-        T_ext=projected(rot)[0],
-        T_int=projected(kin)[0],
-        T_rot=t_rot,
-        E_out=e_out,
-        E_in=e_in,
-        split_valid=split_valid,
-    )
+        *_scaled_back(energies, 2 * zdot_exp, "energy").tolist(), split_valid=split_valid)
 
 
 def eigenvector_split_oracle(mass, z, zdot):
@@ -299,12 +301,11 @@ def eigenvector_split_oracle(mass, z, zdot):
     overlaps inside (A) and outside (B) the block of live eigenvalues
     (xi above ZERO_TOL * xi_1).  Requires pairwise distinct live singular
     values, by the engine's GAP_TOL test, and raises ValueError where they
-    are not.  Z is rescaled by a power of two first, so lambda = xi^2
-    cannot underflow or overflow: the terms do not depend on its scale.
+    are not and by the scale rule above, on energies out of range too.  On
+    the rescaled Z, lambda = xi^2 cannot underflow or overflow.
     """
     _check_mass(mass)
-    z = _unit_scaled(z, zdot)[0]
-    zdot = np.asarray(zdot, dtype=float)
+    z, zdot, _, zdot_exp = _unit_scaled(z, zdot)
     u, xi, vt = np.linalg.svd(z)
     _check_nonzero(xi[0])
     if not _live_values_distinct(xi):
@@ -328,6 +329,6 @@ def eigenvector_split_oracle(mass, z, zdot):
                     comp_b += lam_acc[i] * coupling * coupling
         return 0.5 * mass * comp_a, 0.5 * mass * comp_b
 
-    e_out_a, e_out_b = one_side(u, zdot @ z.T + z @ zdot.T)
-    e_in_a, e_in_b = one_side(vt.T, zdot.T @ z + z.T @ zdot)
-    return e_out_a, e_out_b, e_in_a, e_in_b
+    energies = (*one_side(u, zdot @ z.T + z @ zdot.T),
+                *one_side(vt.T, zdot.T @ z + z.T @ zdot))
+    return tuple(_scaled_back(energies, 2 * zdot_exp, "energy").tolist())

@@ -383,6 +383,15 @@ def test_verify_zero_floor_handles_identically_zero_terms():
     assert summary["failures"] == 0
     ext = [c for c in checks if c.term == "T_ext"][0]
     assert ext.passed and ext.abs_diff <= ZERO_FLOOR
+    # T_res and T_ac vanish identically too, but their stderr is roundoff
+    # (ratios of 13 and 14 here); the summary counts such ratios as 0 and
+    # aggregates the others (0.92 here) as they are
+    means = [c for c in checks if c.kind == "mean"]
+    assert max(c.sigma_ratio for c in means if c.abs_diff <= ZERO_FLOOR) > 4.0
+    ratios = [0.0 if c.abs_diff <= ZERO_FLOOR else c.sigma_ratio for c in means]
+    assert 0.0 < summary["max_sigma_ratio"] == max(ratios) <= 4.0
+    assert summary["min_sigma_ratio"] == min(ratios)
+    assert summary["mean_sigma_ratio"] == sum(ratios) / len(ratios)
 
 
 def test_sign_splits_are_the_signed_parts_of_their_terms():

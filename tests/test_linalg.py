@@ -139,6 +139,9 @@ def test_svd_at_extreme_scales(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         xi_s = svd(scale * z).xi
+        # entries near 1e308 give xi_1 >= sqrt(5) * 1e308, not a double
+        with pytest.raises(ValueError, match="beyond the double range"):
+            svd(1e308 * np.sign(z))
     assert np.max(np.abs(xi_s / scale - xi)) <= 1e-12 * xi[0]
 
 

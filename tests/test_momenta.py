@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,13 @@ def test_fast_momenta_at_mixed_scales():
     for name in ("J2", "K2", "Lambda2", "L2"):
         a, b = getattr(direct, name), getattr(fast, name)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
-    # T ~ ||Zdot||^2 past the double range, then only the momenta past it
-    for z_scale, zdot_scale in ((1e-200, 1e200), (1e150, 1e100)):
-        with pytest.raises(ValueError, match="beyond the double range"):
-            momenta_fast(MASS, z_scale * z, zdot_scale * zdot)
+    # T ~ ||Zdot||^2 past the double range, then only the momenta past it;
+    # the direct route, which takes no T, refuses the momenta alone
+    for route, z_scale, zdot_scale in ((momenta_fast, 1e-200, 1e200),
+                                       (momenta_fast, 1e150, 1e100),
+                                       (momenta_direct, 1e150, 1e100),
+                                       (momenta_direct, 1.0, 1e160)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="beyond the double range"):
+                route(MASS, z_scale * z, zdot_scale * zdot)

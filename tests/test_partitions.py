@@ -96,6 +96,9 @@ def test_svd_rates_at_extreme_scales(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         xi_s, xidot_s = svd_rates(scale * z, zdot)
+        # entries near 1e308 give xi_1 >= sqrt(5) * 1e308, not a double
+        with pytest.raises(ValueError, match="beyond the double range"):
+            svd_rates(1e308 * np.sign(z), zdot)
     assert np.max(np.abs(xi_s / scale - xi)) <= 1e-12 * xi[0]
     assert np.max(np.abs(xidot_s - xidot)) <= 1e-12 * np.max(np.abs(xidot))
 
@@ -422,6 +425,12 @@ def test_oracles_at_extreme_scales(scale):
         warnings.simplefilter("error", RuntimeWarning)
         oracle = project_oracle(MASS, z, zdot)
         split = eigenvector_split_oracle(MASS, z, zdot)
+        # T ~ ||Zdot||^2 past the double range at any scale of Z: every
+        # route refuses, where the oracles once returned inf
+        for zdot_scale in (1e160, 1e200):
+            for route in (compute_partition, project_oracle, eigenvector_split_oracle):
+                with pytest.raises(ValueError, match="beyond the double range"):
+                    route(MASS, z, zdot_scale * zdot)
     for name in ("T_rot", "T_ext", "T_int", "E_out", "E_in"):
         assert rel_gap(getattr(res, name), getattr(oracle, name)) <= 1e-12, name
     for name, value in zip(("E_outA", "E_outB", "E_inA", "E_inB"), split):
