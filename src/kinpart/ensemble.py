@@ -11,11 +11,14 @@ Randomness comes from numpy's PCG64 generator.  substream() derives child
 generators from a (seed, index...) key, so any sampling plan that fixes its
 keys is reproducible bit for bit regardless of how the work is scheduled.
 
-draw_systems samples a block.  It first takes all of the block's variates
-whole, in a fixed order: position sphere variates then kappa, velocity
-sphere variates then kappa, then masses, each with its redraw loop.  It
-then yields the block's systems in chunks, in index order; the rare
-zero-norm system is redrawn as its chunk is built, so redraws follow all
+draw_systems samples a block.  Its variates keep one stream order:
+position sphere variates then kappa, velocity sphere variates then kappa,
+then masses, each with its redraw loop.  At d != 2 all are drawn whole
+before the first chunk.  At d == 2 each variate of those four runs is one
+PCG64 output, so rng jumps past them and each chunk draws its slices of
+them from a copy of the stream advanced there (O'Neill, PCG, HMC-CS-2014-0905);
+the masses are drawn whole.  The systems come in chunks, in index order; the
+rare zero-norm system is redrawn as its chunk is built, so redraws follow all
 of the block's draws in index order.  No row's arithmetic involves another
 row, so a block gives the same bits taken whole or in chunks.
 sample_system_block takes a block as one chunk; a single system is a block
@@ -68,43 +71,34 @@ def _row_norms(chi):
 
 
 def _draw_ball(rng, count, d, buf):
-    """Fill buf with the variates of count points uniform in the unit ball,
-    in draw order: sphere variates, then kappa uniform on [0, 1].  Returns
-    (sphere, kappa) views, sphere of shape (count, d), or (count, 1) at
-    d == 2, where it holds the angle phi uniform on [0, 2 pi); so buf holds
-    count * (d + 1) doubles, 2 * count at d == 2.
-
-    At d != 2 the sphere rows are the points themselves, normalized
-    standard Gaussian vectors.  Filling rng's draws into the views gives
-    the bits rng.uniform(0, 2 pi) and rng.standard_normal return.
+    """Fill buf, count * (d + 1) doubles, with the variates of count points
+    uniform in the unit ball at d != 2, in draw order: the sphere points,
+    normalized standard Gaussian vectors, then kappa uniform on [0, 1].
+    Returns (sphere, kappa) views, sphere of shape (count, d).  Filling
+    rng's draws into the views gives the bits rng.standard_normal returns.
     """
-    sphere = buf[:buf.size - count].reshape(count, -1)
+    sphere = buf[:buf.size - count].reshape(count, d)
     kappa = buf[buf.size - count:]
-    if d == 2:
-        rng.random(out=sphere)
-        sphere *= 2.0 * np.pi
-    else:
-        rng.standard_normal(out=sphere)
+    rng.standard_normal(out=sphere)
+    norms = _row_norms(sphere)
+    while True:
+        bad = norms < _UNDERFLOW
+        if not bool(np.any(bad)):
+            break
+        sphere[bad] = rng.standard_normal((int(np.sum(bad)), d))
         norms = _row_norms(sphere)
-        while True:
-            bad = norms < _UNDERFLOW
-            if not bool(np.any(bad)):
-                break
-            sphere[bad] = rng.standard_normal((int(np.sum(bad)), d))
-            norms = _row_norms(sphere)
-        sphere /= norms[:, None]
+    sphere /= norms[:, None]
     rng.random(out=kappa)
     return sphere, kappa
 
 
 def _ball_points(sphere, kappa, d, N):
-    """Ball points, radius kappa^(1/d) times a sphere point, from (slices
-    of) _draw_ball's views, as an (N, d, count) lane array of
-    count = kappa.size // N systems of N points each.  At d != 2 the array
-    is the sphere slice's own memory."""
+    """Ball points, radius kappa^(1/d) times a sphere point, as an
+    (N, d, count) lane array of count = kappa.size // N systems of N points
+    each.  sphere is (a slice of) _draw_ball's view, whose memory the array
+    reuses, or at d == 2 the points' angles phi, uniform on [0, 2 pi)."""
     if d == 2:
-        angle = sphere[:, 0]
-        sphere = np.empty((angle.size, 2))
+        angle, sphere = sphere, np.empty((sphere.size, 2))
         np.cos(angle, out=sphere[:, 0])
         np.sin(angle, out=sphere[:, 1])
     count = kappa.size // N
@@ -121,10 +115,12 @@ def draw_systems(d, N, mode, rng, count, step):
     Z (k, d, N), Zdot and masses (k, N).
 
     Z and Zdot are views of (N, d, k) lane arrays.  masses is None in
-    equal mode, where every mass is TOTAL_MASS / N.  Every variate of the
-    block is drawn before the first chunk: N position ball points per
-    system, then N velocity ball points, then (random mode) N mass
-    variates, each kind for all systems at once.
+    equal mode, where every mass is TOTAL_MASS / N.  The variates come in
+    stream order: N position ball points per system, then N velocity ball
+    points, then (random mode) N mass variates, each kind for all systems
+    at once.  At d != 2 all are drawn before the first chunk; at d == 2
+    each chunk draws its slices of the ball runs into one buffer of
+    4 * step * N doubles, and rng must be PCG64-backed (else ValueError).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -134,13 +130,23 @@ def draw_systems(d, N, mode, rng, count, step):
         raise ValueError(f"unknown mass mode {mode!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    # One buffer holds all of the block's variates.  As one large
+    # One buffer holds all of the block's whole draws.  As one large
     # allocation it is reused from block to block; as five arrays, malloc
     # gave their pages back after each block and faulted them in again.
-    ball = count * N * (2 if d == 2 else d + 1)
+    ball = 0 if d == 2 else count * N * (d + 1)
     buf = np.empty(2 * ball + (count * N if mode == RANDOM_MASSES else 0))
-    position = _draw_ball(rng, count * N, d, buf[:ball])
-    velocity = _draw_ball(rng, count * N, d, buf[ball:2 * ball])
+    if d == 2:
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise ValueError("d == 2 draws need a PCG64 generator, as substream gives")
+        start = rng.bit_generator.state
+        # rng skips the four runs; advance alone would drop a buffered 32-bit half
+        rng.bit_generator.state = {
+            **start, "state": rng.bit_generator.advance(4 * count * N).state["state"]}
+        jump = np.random.Generator(np.random.PCG64())  # state set before each draw
+        runs = np.empty((4, min(step, count) * N))
+    else:
+        position = _draw_ball(rng, count * N, d, buf[:ball])
+        velocity = _draw_ball(rng, count * N, d, buf[ball:2 * ball])
     eta = None
     if mode == RANDOM_MASSES:
         eta = rng.random(out=buf[2 * ball:].reshape(count, N))
@@ -152,9 +158,19 @@ def draw_systems(d, N, mode, rng, count, step):
 
     for lo in range(0, count, step):
         hi = min(lo + step, count)
-        points = slice(lo * N, hi * N)
-        w = _ball_points(position[0][points], position[1][points], d, N)
-        wdot = _ball_points(velocity[0][points], velocity[1][points], d, N)
+        if d == 2:
+            chunk = runs[:, :(hi - lo) * N]
+            for j, run in enumerate(chunk):
+                jump.bit_generator.state = start
+                jump.bit_generator.advance((j * count + lo) * N)
+                jump.random(out=run)
+            chunk[::2] *= 2.0 * np.pi
+            w = _ball_points(chunk[0], chunk[1], d, N)
+            wdot = _ball_points(chunk[2], chunk[3], d, N)
+        else:
+            points = slice(lo * N, hi * N)
+            w = _ball_points(position[0][points], position[1][points], d, N)
+            wdot = _ball_points(velocity[0][points], velocity[1][points], d, N)
         masses = None
         if eta is not None:
             masses = TOTAL_MASS * eta[lo:hi] / np.sum(eta[lo:hi], axis=1)[:, None]

@@ -8,9 +8,10 @@ configuration no matter how many workers process the blocks.  They run
 largest N first, in this process with one worker or one job, else on one
 pool of min(KINPART_THREADS, jobs, usable CPUs) forked worker processes.
 
-Within a block, ensemble.draw_systems takes the draws whole first, then
-yields chunks of max(1, ensemble.CHUNK_ENTRIES // (d * N)) systems or fewer
-in index order, and each chunk goes through the partition engine as it comes.
+Within a block, ensemble.draw_systems yields chunks of
+max(1, ensemble.CHUNK_ENTRIES // (d * N)) systems or fewer in index order,
+drawing each d == 2 chunk's variates as it comes and taking the rest whole
+first, and each chunk goes through the partition engine as it comes.
 The chunks' terms are concatenated and StatAccumulator.from_block runs on
 the whole block, one stack of rows for the expansion terms and one for the
 rest, so no sum and no CSV byte depends on the chunk size.

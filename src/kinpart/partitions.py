@@ -38,8 +38,10 @@ _batch._checked_input, which refuses input that is not a non-empty,
 finite, real 2-d matrix and rescales the rest by powers of two, and its
 results come out through _scaled_back, which scales each back by the
 power of two of its degree and refuses one beyond the double range (one
-below it underflows to 0).  All but svd refuse Z = 0, and all that take
-a mass refuse one that is not a real, finite scalar > 0.
+below it underflows to 0).  compute_partition and momenta_direct also run
+at the mass's frexp mantissa in [1/2, 1), and scale its power of two back
+once into energies and twice into momenta.  All but svd refuse Z = 0, and
+all that take a mass refuse one that is not a real, finite scalar > 0.
 """
 
 from dataclasses import dataclass, make_dataclass
@@ -126,28 +128,30 @@ PartitionResult = make_dataclass(
 def compute_partition(mass, z, zdot):
     """All 19 energy terms and 4 squared momenta of one system.
 
-    Evaluated by partition_batch as a batch of one, on Z and Zdot rescaled
-    by powers of two, so the result equals the matching row of a batch
-    call bit for bit and the term ratios do not depend on the overall
-    scale.  T_rot = T - T_I, and T_res, T_ac, E_c are exact complements of
-    their partitions, so the five partition identities hold by
-    construction.  The degenerate flag marks (numerically) repeated
+    Evaluated by partition_batch as a batch of one, on the mass, Z and
+    Zdot rescaled by powers of two, so the result equals the matching row
+    of a batch call bit for bit and the term ratios do not depend on the
+    overall scale.  T_rot = T - T_I, and T_res, T_ac, E_c are exact
+    complements of their partitions, so the five partition identities hold
+    by construction.  The degenerate flag marks (numerically) repeated
     non-zero singular values, where the singular-expansion terms come from
     the regularized solve.  Raises ValueError by the scale rule above, on
     an energy beyond the double range too.  The momenta grow as
-    ||Z||^2 ||Zdot||^2, so they can overflow where the terms do not;
+    m^2 ||Z||^2 ||Zdot||^2, so they can overflow where the terms do not;
     momenta is then None.
     """
-    # Every term is quadratic in Zdot and of degree 0 in Z, and the momenta
-    # scale as ||Z||^2 ||Zdot||^2, so products of two squared norms
-    # (inner^2, Lambda^2, J^2, ...) of the rescaled inputs cannot underflow
-    # or overflow whatever the scale of the input.
+    # Every term is linear in the mass, quadratic in Zdot and of degree 0
+    # in Z, and the momenta scale as m^2 ||Z||^2 ||Zdot||^2, so products of
+    # two squared norms (inner^2, Lambda^2, J^2, ...) of the rescaled inputs
+    # cannot underflow or overflow whatever the scale of the input.
+    _check_mass(mass)
+    mass, m_exp = np.frexp(mass)
     z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
     res = partition_batch(mass, z[None], zdot[None])
-    terms = _scaled_back([res[name][0] for name in TERMS], 2 * zdot_exp, "energy")
+    terms = _scaled_back([res[name][0] for name in TERMS], m_exp + 2 * zdot_exp, "energy")
     try:
-        momenta = MomentaResult(*_scaled_back(
-            [res[name][0] for name in MOMENTA], 2 * (z_exp + zdot_exp), "momenta").tolist())
+        momenta = MomentaResult(*_scaled_back([res[name][0] for name in MOMENTA],
+                                              2 * (m_exp + z_exp + zdot_exp), "momenta").tolist())
     except ValueError:
         momenta = None
     return PartitionResult(**dict(zip(TERMS, terms.tolist())), momenta=momenta,
@@ -214,10 +218,11 @@ def momenta_direct(mass, z, zdot):
     J from the d(d-1)/2 antisymmetrized row sums, K from the n(n-1)/2
     column sums, Lambda from all dn(dn-1)/2 minors of the flattened pair,
     L from the minors of svd_rates' singular values and rates, all on the
-    rescaled pair.  Quadratic cost; oracle use only.  Raises ValueError by
-    the scale rule above, on momenta beyond the double range too.
+    rescaled mass and pair.  Quadratic cost; oracle use only.  Raises
+    ValueError by the scale rule above, on momenta beyond the range too.
     """
     _check_mass(mass)
+    mass, m_exp = np.frexp(mass)
     z, zdot, z_exp, zdot_exp = _unit_scaled(z, zdot)
     xi, xidot = svd_rates(z, zdot)
     # Row-major flattening orders the index pairs (i, alpha) of Lambda
@@ -226,7 +231,7 @@ def momenta_direct(mass, z, zdot):
         np.einsum("ia,ja->ij", z, zdot), np.einsum("ia,ib->ab", z, zdot),
         np.outer(z.ravel(), zdot.ravel()), np.outer(xi, xidot))]
     return MomentaResult(*_scaled_back(
-        [mass * mass * s for s in sums], 2 * (z_exp + zdot_exp), "momenta").tolist())
+        [mass * mass * s for s in sums], 2 * (m_exp + z_exp + zdot_exp), "momenta").tolist())
 
 
 def momenta_fast(mass, z, zdot):

@@ -10,8 +10,12 @@ from kinpart.ensemble import _ball_points, _draw_ball, _row_norms, draw_systems
 def ball_points(rng, count, d, kappa=None):
     """count ball points as (count, d), through the sampler's own draw and
     geometry (count systems of one point each); a given kappa replaces
-    every drawn one."""
-    sphere, drawn = _draw_ball(rng, count, d, np.empty(count * (2 if d == 2 else d + 1)))
+    every drawn one.  At d == 2 the angle and kappa runs are drawn here,
+    as draw_systems draws each of them."""
+    if d == 2:
+        sphere, drawn = rng.random(count) * (2.0 * np.pi), rng.random(count)
+    else:
+        sphere, drawn = _draw_ball(rng, count, d, np.empty(count * (d + 1)))
     if kappa is not None:
         drawn[:] = kappa
     return _ball_points(sphere, drawn, d, 1)[0].T
@@ -159,6 +163,16 @@ def test_bad_arguments():
         sample_system_block(2, 3, "gaussian", rng, 1)
     with pytest.raises(ValueError, match="count"):
         sample_system_block(2, 3, "equal", rng, 0)
+
+
+def test_planar_draws_need_pcg64():
+    # d = 2 reaches each chunk's variates by PCG64 jump-ahead, so another
+    # bit generator is refused there; the Gaussian path takes any
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(ValueError, match="PCG64"):
+        sample_system_block(2, 3, "equal", rng, 4)
+    z, _, _ = sample_system_block(3, 3, "random", rng, 4)
+    assert z.shape == (4, 3, 3)
 
 
 def test_reduction_frame_properties():

@@ -190,14 +190,17 @@ def test_streaming_matches_stored_samples():
 
 
 def test_block_memory_is_bounded_by_its_draws_and_one_chunk():
-    # A d = 2, N = 100 block of 4096 systems holds 13.1 MB of draws, and a
-    # chunk adds a few MB; taken whole, the block's arrays need about 37 MB.
-    # A d = 3, N = 60 random block holds 17.7 MB of draws, whose Gaussian
-    # rows are normalised in slices, not through one block-sized square.
-    for args, bound in (((2, 100, "equal"), 21e6), ((3, 60, "random"), 23e6)):
+    # A d = 2, N = 100 block of 4096 systems draws each chunk's variates
+    # as it comes, 2.1 MB, and holds only its masses (3.3 MB) whole; its
+    # terms and a chunk's arrays add a few MB.  Drawn whole first, its
+    # variates would take 13.1 MB and the block peak at 19.6 and 24.0 MB.  A
+    # d = 3, N = 60 random block holds 17.7 MB of draws, whose Gaussian rows
+    # are normalised in slices, not through one block-sized square.
+    for args, bound in (((2, 100, "equal", 5), 12e6), ((2, 100, "random", 5), 16e6),
+                        ((3, 60, "random", 1), 23e6)):
         tracemalloc.start()
         try:
-            _block_summary(*args, 1, 0, 4096)
+            _block_summary(*args, 0, 4096)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -148,3 +148,14 @@ def test_fast_momenta_at_mixed_scales():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="beyond the double range"):
                 route(MASS, z_scale * z, zdot_scale * zdot)
+    # The momenta scale as m^2 ||Z||^2 ||Zdot||^2 and the energies as
+    # m ||Zdot||^2: at these masses and scales both are in range, and both
+    # routes rescale the mass rather than square it
+    for mass in (1e200, np.float64(1e200), 1e308, np.float64(1e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            direct = momenta_direct(mass, 1e-150 * z, 1e-100 * zdot)
+            fast = momenta_fast(mass, 1e-150 * z, 1e-100 * zdot)
+        for name in ("J2", "K2", "Lambda2", "L2"):
+            a, b = getattr(direct, name), getattr(fast, name)
+            assert 0.0 < a < np.inf and abs(a - b) <= 1e-10 * a, (mass, name)

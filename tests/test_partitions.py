@@ -431,6 +431,19 @@ def test_oracles_at_extreme_scales(scale):
             for route in (compute_partition, project_oracle, eigenvector_split_oracle):
                 with pytest.raises(ValueError, match="beyond the double range"):
                     route(MASS, z, zdot_scale * zdot)
+        # The energies are linear in the mass, which the engine rescales
+        # too: near 1e200 they agree, near 1e308 * ||Zdot||^2 all refuse
+        heavy = [(compute_partition(mass, z, zdot), project_oracle(mass, z, zdot),
+                  eigenvector_split_oracle(mass, z, zdot))
+                 for mass in (1e200, np.float64(1e200))]
+        for mass in (1e308, np.float64(1e308)):
+            with pytest.raises(ValueError, match="energy beyond the double range"):
+                compute_partition(mass, z, zdot)
+    for res_m, oracle_m, split_m in heavy:
+        for name in ("T_rot", "T_ext", "T_int", "E_out", "E_in"):
+            assert rel_gap(getattr(res_m, name), getattr(oracle_m, name)) <= 1e-12, name
+        for name, value in zip(("E_outA", "E_outB", "E_inA", "E_inB"), split_m):
+            assert rel_gap(getattr(res_m, name), value) <= 1e-12, name
     for name in ("T_rot", "T_ext", "T_int", "E_out", "E_in"):
         assert rel_gap(getattr(res, name), getattr(oracle, name)) <= 1e-12, name
     for name, value in zip(("E_outA", "E_outB", "E_inA", "E_inB"), split):

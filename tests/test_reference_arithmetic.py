@@ -16,7 +16,7 @@ import pytest
 from kinpart import compute_partition, partition_batch, sample_system_block, substream
 from kinpart._batch import BATCH_FIELDS, _frame_rates, _lanes, _slab_sum, _thin_svd
 from kinpart.ensemble import (
-    RANDOM_MASSES, TOTAL_MASS, _UNDERFLOW, _ball_points, _draw_ball,
+    RANDOM_MASSES, TOTAL_MASS, _UNDERFLOW, _ball_points, _draw_ball, draw_systems,
 )
 from kinpart.linalg import _COLUMN_FREEZE, _JACOBI_TOL, _MAX_SWEEPS, jacobi_orthogonalize
 
@@ -28,8 +28,11 @@ MODES = ("equal", "random")
 def reference_sample(d, N, mode, rng, count):
     """Same draws as sample_system_block, centred and scaled out of place."""
     def ball():
-        buf = np.empty(count * N * (2 if d == 2 else d + 1))
-        points = _ball_points(*_draw_ball(rng, count * N, d, buf), d, N)
+        if d == 2:  # the angle run, then the kappa run
+            sphere, kappa = rng.random(count * N) * (2.0 * np.pi), rng.random(count * N)
+        else:
+            sphere, kappa = _draw_ball(rng, count * N, d, np.empty(count * N * (d + 1)))
+        points = _ball_points(sphere, kappa, d, N)
         return np.ascontiguousarray(points.transpose(2, 0, 1))
 
     w = ball()
@@ -170,6 +173,31 @@ def test_sampler_and_thin_svd_match_reference_bits(d, n_particles, mode):
         assert_same_bits(w.transpose(2, 0, 1), rw)
         assert_same_bits(rtail.T, rrtail)
         assert_same_bits(stail.T, rstail)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n_particles", (3, 100))
+def test_planar_block_is_its_runs_drawn_in_turn(n_particles, mode):
+    # At d = 2 each chunk draws its slices of the four uniform runs after a
+    # jump; whole or in chunks of 7, the systems and the generator's final
+    # state are those of the runs drawn one after another, then the masses.
+    # A buffered 32-bit half, which no double draw touches, is kept.
+    count = 40
+    rngs = [substream(7, 2, n_particles, MODES.index(mode)) for _ in range(3)]
+    for rng in rngs:
+        rng.integers(2**32, dtype=np.uint32)
+    whole = sample_system_block(2, n_particles, mode, rngs[0], count)
+    chunks = list(draw_systems(2, n_particles, mode, rngs[1], count, 7))
+    want = reference_sample(2, n_particles, mode, rngs[2], count)
+    state = rngs[2].bit_generator.state
+    assert state["has_uint32"] == 1
+    assert rngs[0].bit_generator.state == state
+    assert rngs[1].bit_generator.state == state
+    for got, ref in zip(whole, want):
+        assert_same_bits(got, ref)
+    assert len(chunks) == 6
+    for parts, ref in zip(zip(*chunks), want[:2 if mode == "equal" else 3]):
+        assert_same_bits(np.concatenate(parts), ref)
 
 
 def test_jacobi_exact_ties_match_reference_bits():
